@@ -15,7 +15,10 @@ The measurement conventions they share live here:
 * **env-var scale overrides** (:func:`env_scales`) — CI smoke runs
   shrink a benchmark through an environment variable while the committed
   ``BENCH_*.json`` numbers come from full-scale runs (floors are only
-  asserted at or above their recorded ``speedup_floor_scale``).
+  asserted at or above their recorded ``speedup_floor_scale``);
+* **opt-in publishing** (:func:`publish_report`) — a benchmark rewrites
+  its root ``BENCH_*.json`` only under ``REPRO_BENCH_WRITE=1``, so a
+  plain test run leaves the committed reports untouched.
 """
 
 from __future__ import annotations
@@ -25,7 +28,13 @@ import math
 import os
 import time
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Any, Callable, Iterator, Tuple
+
+from repro.analysis.benchio import dump_bench_report
+
+#: Repository root, where the ``BENCH_*.json`` reports live.
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @contextmanager
@@ -82,3 +91,13 @@ def env_scales(variable: str, default: Tuple[int, ...]) -> Tuple[int, ...]:
 def speedup(slow_s: float, fast_s: float) -> float:
     """Wall-clock ratio ``slow_s / fast_s`` (``inf`` on a zero denominator)."""
     return slow_s / fast_s if fast_s > 0 else math.inf
+
+
+def publish_report(name: str, report: Any) -> None:
+    """Write ``report`` to ``REPO_ROOT / name`` when ``REPRO_BENCH_WRITE=1``.
+
+    Without the variable the measurement still runs and its floors are
+    still asserted; only the committed report is left alone.
+    """
+    if os.environ.get("REPRO_BENCH_WRITE") == "1":
+        dump_bench_report(REPO_ROOT / name, report)

@@ -24,11 +24,9 @@ from __future__ import annotations
 
 import math
 import random
-from pathlib import Path
 
-from perfutil import best_of, speedup as wall_speedup
+from perfutil import best_of, publish_report, speedup as wall_speedup
 
-from repro.analysis.benchio import dump_bench_report
 from repro.batch.job import Job
 from repro.core.estimation import EstimateMatrix
 from repro.core.heuristics import HEURISTIC_NAMES, JobEstimate, get_heuristic
@@ -132,8 +130,7 @@ def test_heuristic_selection_speedup():
         if name in OFFLINE:
             offline_speedups[name] = speedup
 
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_heuristics.json"
-    dump_bench_report(out_path, report)
+    publish_report("BENCH_heuristics.json", report)
     slowest = min(offline_speedups, key=offline_speedups.get)
     print(
         f"\nheuristic drain over {CANDIDATES} candidates x {len(CLUSTERS)} "

@@ -36,11 +36,9 @@ import math
 import random
 import time
 import tracemalloc
-from pathlib import Path
 
-from perfutil import env_scales, gc_disabled, speedup as wall_speedup
+from perfutil import env_scales, gc_disabled, publish_report, speedup as wall_speedup
 
-from repro.analysis.benchio import dump_bench_report
 from repro.batch.job import Job
 from repro.batch.jobtable import JobTable
 from repro.sim.events import Event
@@ -206,8 +204,7 @@ def test_kernel_queue_speedup():
     # The columnar store must beat the (already slotted) object form.
     assert report["memory"]["jobtable_bytes_per_row"] < report["memory"]["job_object_bytes"]
 
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_kernel.json"
-    dump_bench_report(out_path, report)
+    publish_report("BENCH_kernel.json", report)
 
     for scale_name, numbers in report["scales"].items():
         if int(scale_name) >= SPEEDUP_FLOOR_SCALE:

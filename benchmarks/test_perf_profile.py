@@ -39,11 +39,9 @@ from __future__ import annotations
 
 import random
 import time
-from pathlib import Path
 
-from perfutil import env_scales, gc_disabled, speedup as wall_speedup
+from perfutil import env_scales, gc_disabled, publish_report, speedup as wall_speedup
 
-from repro.analysis.benchio import dump_bench_report
 from repro.batch.cluster import ClusterState
 from repro.batch.job import Job
 from repro.batch.policies import BatchPolicy, IncrementalPlanner, resolve_profile_engine
@@ -210,8 +208,7 @@ def test_availability_engine_speedup():
                 f"selected {selected}, speedup {speedup:.2f}x"
             )
 
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_profile.json"
-    dump_bench_report(out_path, report)
+    publish_report("BENCH_profile.json", report)
 
     for depth_name, policies in report["depths"].items():
         if int(depth_name) >= SPEEDUP_FLOOR_SCALE:

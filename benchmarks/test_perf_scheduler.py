@@ -21,11 +21,9 @@ from __future__ import annotations
 
 import math
 import random
-from pathlib import Path
 
-from perfutil import best_of, speedup as wall_speedup
+from perfutil import best_of, publish_report, speedup as wall_speedup
 
-from repro.analysis.benchio import dump_bench_report
 from repro.batch.cluster import ClusterState
 from repro.batch.job import Job
 from repro.batch.policies import (
@@ -195,8 +193,7 @@ def test_incremental_scheduler_speedup():
             f"{incremental_s:.3f}s, speedup {speedup:.1f}x"
         )
 
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_scheduler.json"
-    dump_bench_report(out_path, report)
+    publish_report("BENCH_scheduler.json", report)
 
     for policy_name, numbers in report["policies"].items():
         assert numbers["speedup"] >= MIN_SPEEDUP, (

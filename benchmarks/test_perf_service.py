@@ -31,11 +31,9 @@ Environment
 from __future__ import annotations
 
 import asyncio
-from pathlib import Path
 
-from perfutil import env_scales
+from perfutil import env_scales, publish_report
 
-from repro.analysis.benchio import dump_bench_report
 from repro.platform.catalog import grid5000_platform
 from repro.service import (
     MetaSchedulerService,
@@ -208,8 +206,7 @@ def test_service_throughput():
     assert backpressure["rejected_during_burst"] == BACKPRESSURE_HIGH_WATER
     assert backpressure["released_after_drain"] is True
 
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_service.json"
-    dump_bench_report(out_path, report)
+    publish_report("BENCH_service.json", report)
     print(
         "\nservice admission drain: "
         + ", ".join(

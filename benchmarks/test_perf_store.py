@@ -45,9 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from perfutil import best_of, speedup as wall_speedup, env_scales
+from perfutil import best_of, speedup as wall_speedup, env_scales, publish_report
 
-from repro.analysis.benchio import dump_bench_report
 from repro.batch.job import JobState
 from repro.batch.jobtable import JobTable
 from repro.core.metrics import compare_tables
@@ -219,8 +218,7 @@ def test_store_format_speedup():
                 f"bytes {entry['bytes']['speedup']:.2f}x"
             )
 
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_store.json"
-    dump_bench_report(out_path, report)
+    publish_report("BENCH_store.json", report)
 
     for scale_name, numbers in report["scales"].items():
         if int(scale_name) >= SPEEDUP_FLOOR_SCALE:

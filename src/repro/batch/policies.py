@@ -174,6 +174,9 @@ class IncrementalPlanner:
       where the reference planner would look);
     * ``cancel`` at queue position ``k`` — restore + re-place positions
       ``k..end`` only;
+    * ``cancel_all`` — one restore of the whole plan and no placement,
+      O(queue + breakpoints) for the queue that ``cancel(0)`` per job
+      would drain at O(queue²);
     * ``job_started`` — free: the started job ran at its planned slot, so
       its reservation simply moves from the plan to the running set;
     * ``job_finished`` at the walltime boundary — free: the availability
@@ -246,25 +249,31 @@ class IncrementalPlanner:
         :meth:`~repro.batch.arrayprofile.ArrayProfile.earliest_slot_many`
         call — the open-run structure of the residual is built once per
         distinct processor count instead of once per job — with results
-        float-identical to per-job ``earliest_slot`` queries.
+        float-identical to per-job ``earliest_slot`` queries.  The
+        whole-queue plan lookup is only materialised when a queried job
+        is waiting here, and a lone hypothetical placement takes the
+        scalar ``earliest_slot``.
         """
-        plan = self.cluster_plan()
-        earliest = self.frontier() if self.keep_queue_order else self.plan.now
+        waiting_ids = self.waiting_ids
         residual = self.plan.residual
         speed = self.speed
         cluster = self.cluster
+        plan = None
         estimates: List[float] = [math.inf] * len(jobs)
         pending: List[tuple[int, int, float]] = []
         for position, job in enumerate(jobs):
             if not cluster.fits(job):
                 continue
-            if job.job_id in plan:
+            if job.job_id in waiting_ids:
+                if plan is None:
+                    plan = self.cluster_plan()
                 estimates[position] = plan.planned_end(job.job_id)
                 continue
             pending.append((position, job.procs, job.walltime_on(speed)))
         if not pending:
             return estimates
-        if hasattr(residual, "earliest_slot_many"):
+        earliest = self.frontier() if self.keep_queue_order else self.plan.now
+        if len(pending) > 1 and hasattr(residual, "earliest_slot_many"):
             starts = residual.earliest_slot_many(
                 [procs for _, procs, _ in pending],
                 [duration for _, _, duration in pending],
@@ -316,6 +325,23 @@ class IncrementalPlanner:
         del self.jobs[index]
         self.plan.restore_suffix(index)
         self._extend(index)
+
+    def cancel_all(self, now: float) -> List[Job]:
+        """Remove every waiting job; returns them in queue order.
+
+        The end state equals ``cancel(0, now)`` repeated until the queue is
+        empty: an empty plan whose residual is the base profile in its
+        canonical compacted form.  It is reached by a single
+        :meth:`~repro.batch.schedule.IncrementalPlan.restore_suffix` and one
+        ``generation`` bump instead of one suffix replan per job.
+        """
+        self.advance(now)
+        self.generation += 1
+        jobs = self.jobs
+        self.jobs = []
+        self.waiting_ids = set()
+        self.plan.restore_suffix(0)
+        return jobs
 
     def job_started(self, job: Job, now: float) -> None:
         """A waiting job started; call *after* ``cluster.start_job``.

@@ -7,7 +7,8 @@ scheduling policy (FCFS or CBF), and it exposes to the middleware exactly
 the simple queries the paper allows itself:
 
 * :meth:`BatchServer.submit` — add a job to the waiting queue;
-* :meth:`BatchServer.cancel` — remove a *waiting* job from the queue;
+* :meth:`BatchServer.cancel` — remove a *waiting* job from the queue
+  (:meth:`BatchServer.cancel_waiting` empties the whole queue);
 * :meth:`BatchServer.estimate_completion` — expected completion time of a
   job if it were submitted now (or of a job already waiting here);
 * :meth:`BatchServer.waiting_jobs` — snapshot of the waiting queue.
@@ -42,7 +43,7 @@ byte-identically to the historical static implementation.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.batch.arrayprofile import DEFAULT_PROFILE_ENGINE
 from repro.batch.cluster import ClusterState, RunningJob
@@ -286,6 +287,60 @@ class BatchServer:
         job.cluster = None
         self.cancelled_count += 1
         self._schedule_pass()
+
+    def cancel_waiting(self) -> List[Job]:
+        """Cancel every waiting job; returns them in cancellation order.
+
+        Exactly equivalent to cancelling the queue head until the queue is
+        empty — each cancellation's scheduling pass may start jobs behind
+        the head, which then run instead of being cancelled — but without
+        the suffix replan per job once no start remains possible.
+
+        Let ``B`` be the running-jobs profile (:meth:`ClusterState.availability`).
+        A job starts during the cascade only at a planned slot of ``now``,
+        planned against ``B`` minus the reservations ahead of it, so it
+        must fit at ``now`` in ``B`` for its whole walltime; and ``B``
+        itself only changes when a job starts.  While some job behind the
+        head passes that test, the head is cancelled through
+        :meth:`cancel`; once none does, nothing can start for the rest of
+        the cascade and the remaining queue is dropped at once through
+        :meth:`IncrementalPlanner.cancel_all`.
+        """
+        planner = self._planner
+        cancelled: List[Job] = []
+        candidates: Set[int] = set()
+        seen_starts = -1
+        while planner.jobs:
+            if seen_starts != self.started_count:
+                seen_starts = self.started_count
+                candidates = self._fit_now(planner.jobs)
+            head = planner.jobs[0]
+            candidates.discard(head.job_id)
+            if not candidates:
+                break
+            self.cancel(head)
+            cancelled.append(head)
+        if planner.jobs:
+            rest = planner.cancel_all(self.kernel.now)
+            for job in rest:
+                job.state = JobState.CANCELLED
+                job.cluster = None
+            self.cancelled_count += len(rest)
+            cancelled.extend(rest)
+        return cancelled
+
+    def _fit_now(self, jobs: Sequence[Job]) -> Set[int]:
+        """Ids of ``jobs`` that fit at ``now`` in the running-jobs profile."""
+        now = self.kernel.now
+        base = self.cluster.availability(now)
+        free_now = base.free_at(now)
+        speed = self.speed
+        return {
+            job.job_id
+            for job in jobs
+            if job.procs <= free_now
+            and base.min_free_over(now, now + job.walltime_on(speed)) >= job.procs
+        }
 
     def estimate_completion(self, job: Job) -> float:
         """Expected completion time (ECT) of ``job`` on this cluster.

@@ -292,6 +292,22 @@ class EstimateMatrix:
         self._current_col[row] = self.col_index[cluster] if cluster is not None else -1
         self._current_ect[row] = ect
 
+    def write_column(
+        self, rows: np.ndarray, cluster: str, ects: np.ndarray, fits: np.ndarray
+    ) -> None:
+        """Bulk column write over existing rows.
+
+        Equivalent to :meth:`set_entry` on the rows where ``fits`` holds
+        and :meth:`clear_entry` on the others.
+        """
+        col = self.col_index[cluster]
+        self._ects[rows, col] = np.where(fits, ects, np.inf)
+        self._fits[rows, col] = fits
+
+    def set_current_ects(self, rows: np.ndarray, ects: np.ndarray) -> None:
+        """Bulk update of the current ECT of existing rows (location kept)."""
+        self._current_ect[rows] = ects
+
     # ------------------------------------------------------------------ #
     # Row readback (for materialising the selected JobEstimate)          #
     # ------------------------------------------------------------------ #

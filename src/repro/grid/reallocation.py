@@ -226,50 +226,45 @@ class _EstimateTable:
         entry stale-pruned from the matrix (historically the outdated ECT
         survived the refresh); a pruned entry that was the candidate's
         "current" resubmission target degrades its current ECT to ``inf``.
+
+        Each touched column is written in one vectorised
+        :meth:`~repro.core.estimation.EstimateMatrix.write_column`; only
+        the estimates themselves are per-job work.
         """
         names: Set[str] = {n for n in cluster_names if n in self._servers}
         if not names:
             return
         matrix = self._matrix
         rows = matrix.alive_rows()
+        if rows.size == 0:
+            return
+        jobs = [self._jobs[job_id] for job_id in matrix.job_ids(rows).tolist()]
+        current_cols = matrix.current_cols(rows)
         for name in names:
             server = self._servers[name]
-            batch_rows: List[int] = []
-            batch_jobs: List[Job] = []
-            for row in rows:
-                job = self._jobs[matrix.job_id_at(row)]
-                current_cluster, _ = matrix.current_of(row)
-                waiting_here = (
-                    name == current_cluster
-                    and job.state is JobState.WAITING
-                    and job.cluster == current_cluster
-                )
-                if not server.fits_now(job):
-                    matrix.clear_entry(row, name)
-                    if name == current_cluster and not waiting_here:
-                        # An Algorithm 2 candidate whose origin can no
-                        # longer take it back: resubmitting there is now
-                        # impossible.
-                        matrix.set_current(row, current_cluster, math.inf)
-                    continue
-                if waiting_here:
-                    # Algorithm 1 candidate still waiting on the touched
-                    # cluster: its current ECT is its new planned completion.
-                    value = server.planned_completion(job)
-                    matrix.set_entry(row, name, value)
-                    matrix.set_current(row, current_cluster, value)
-                else:
-                    batch_rows.append(int(row))
-                    batch_jobs.append(job)
-            values = server.estimate_completion_many(batch_jobs)
-            for row, job, value in zip(batch_rows, batch_jobs, values):
-                matrix.set_entry(row, name, value)
-                current_cluster, _ = matrix.current_of(row)
-                if name == current_cluster:
-                    # Algorithm 2 candidate (already cancelled): its
-                    # "current" ECT is what resubmitting it to its
-                    # previous cluster would give now.
-                    matrix.set_current(row, current_cluster, value)
+            fits = np.array([server.fits_now(job) for job in jobs], dtype=bool)
+            at_current = current_cols == matrix.col_index[name]
+            waiting_here = np.zeros(len(jobs), dtype=bool)
+            for index in np.flatnonzero(at_current).tolist():
+                job = jobs[index]
+                waiting_here[index] = job.state is JobState.WAITING and job.cluster == name
+            values = np.full(len(jobs), math.inf)
+            # Algorithm 1 candidates still waiting on the touched cluster:
+            # their entry is their new planned completion.
+            for index in np.flatnonzero(fits & waiting_here).tolist():
+                values[index] = server.planned_completion(jobs[index])
+            batch = np.flatnonzero(fits & ~waiting_here)
+            values[batch] = server.estimate_completion_many(
+                [jobs[index] for index in batch.tolist()]
+            )
+            matrix.write_column(rows, name, values, fits)
+            # The current ECT follows the entry: the new planned completion
+            # of a job waiting here, the resubmission estimate of an
+            # Algorithm 2 candidate cancelled from here, or ``inf`` once
+            # that origin can no longer take it back.  A job waiting here
+            # that no longer fits keeps its current ECT.
+            follow = at_current & (fits | ~waiting_here)
+            matrix.set_current_ects(rows[follow], values[follow])
 
     def estimates(self, job_ids: Iterable[int]) -> List[JobEstimate]:
         """Materialise :class:`JobEstimate` objects for the given candidates.
@@ -596,14 +591,19 @@ class ReallocationAgent:
             ]
         )
 
+        prune = True
         while table.alive_count:
             # Prune candidates that started meanwhile (cancelling a queue
-            # head can let the local scheduler start jobs behind it).
-            for candidate in table.alive_jobs():
-                if candidate.state is not JobState.WAITING:
-                    table.discard(candidate.job_id)
-            if not table.alive_count:
-                break
+            # head can let the local scheduler start jobs behind it).  Job
+            # states only change in a move's cancel and submit, so the scan
+            # runs once up front and once after each move.
+            if prune:
+                prune = False
+                for candidate in table.alive_jobs():
+                    if candidate.state is not JobState.WAITING:
+                        table.discard(candidate.job_id)
+                if not table.alive_count:
+                    break
             # The selection is a vectorised argmin over the matrix rows;
             # only the winner is materialised as a JobEstimate.
             chosen = table.estimate_of(table.select(self.heuristic))
@@ -624,6 +624,7 @@ class ReallocationAgent:
                 job.reallocation_count += 1
                 self.total_reallocations += 1
                 moves += 1
+                prune = True
                 table.refresh_clusters({origin_name, new_cluster})
         return moves
 
@@ -741,18 +742,20 @@ class ReallocationAgent:
         return moves
 
     def _run_cancellation_incremental(self) -> int:
-        """Algorithm 2 over the persistent engine."""
+        """Algorithm 2 over the persistent engine.
+
+        The cancel step empties each queue, in server order, through
+        :meth:`BatchServer.cancel_waiting`: the same cascade as the
+        rebuild path's per-job loop, without one suffix replan per job.
+        """
         engine = self._engine
         assert engine is not None
-        snapshot = self._collect_waiting()
         previous_cluster: Dict[int, str] = {}
         cancelled: List[Job] = []
-        for job in snapshot:
-            if job.state is not JobState.WAITING or job.cluster is None:
-                continue
-            previous_cluster[job.job_id] = job.cluster
-            self._servers_by_name[job.cluster].cancel(job)
-            cancelled.append(job)
+        for server in self.servers:
+            for job in server.cancel_waiting():
+                previous_cluster[job.job_id] = server.name
+                cancelled.append(job)
         self.cancelled_resubmissions += len(cancelled)
         engine.sync_cancelled(cancelled, previous_cluster, self.kernel.now)
         if self.heuristic.online:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.batch.arrayprofile import DEFAULT_PROFILE_ENGINE
-from repro.batch.job import Job, JobState
+from repro.batch.job import Job
 from repro.batch.policies import BatchPolicy
 from repro.batch.server import BatchServer
 from repro.core.heuristics import Heuristic
@@ -156,9 +156,8 @@ class GridSimulation:
         self._completed += 1
 
     def _has_pending_work(self) -> bool:
-        return any(
-            job.state not in (JobState.COMPLETED, JobState.REJECTED) for job in self.jobs
-        )
+        # Every job ends either completed or rejected, each counted once.
+        return self._completed < len(self.jobs) - self.metascheduler.rejected_count
 
     # ------------------------------------------------------------------ #
     # Execution                                                          #

@@ -348,6 +348,34 @@ class TestRandomizedDifferential:
             }
             assert plans["array"] == plans["list"]
 
+    @pytest.mark.parametrize("policy", [BatchPolicy.FCFS, BatchPolicy.CBF])
+    def test_single_query_estimates_match_the_batch(self, policy):
+        # A lone hypothetical placement takes the scalar earliest_slot; it
+        # must equal its entry in a batched query on both engines.
+        rng = random.Random(7)
+        jobs = [
+            Job(job_id=i, submit_time=0.0, procs=rng.randint(1, 40),
+                runtime=float(rng.randint(50, 900)),
+                walltime=float(rng.randint(100, 1200)))
+            for i in range(80)
+        ]
+        probes = jobs[40:] + jobs[:5]  # foreign jobs, then waiting ones
+        results = {}
+        for engine in ENGINES:
+            planner = IncrementalPlanner(
+                policy, ClusterState("c", 48, 1.3, profile_engine=engine)
+            )
+            for job in jobs[:40]:
+                planner.submit(job, 0.0)
+            for step in range(0, 30, 3):
+                planner.cancel(step % len(planner.jobs), 0.0)
+            batched = planner.estimate_many(probes)
+            single = [planner.estimate_many([probe])[0] for probe in probes]
+            assert single == batched
+            results[engine] = batched
+        assert results["array"] == results["list"]
+        assert any(math.isfinite(value) for value in results["list"])
+
     def test_server_script_with_capacity_changes(self):
         results = {}
         for engine in ENGINES:

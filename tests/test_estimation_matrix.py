@@ -236,6 +236,32 @@ class TestMatrixMechanics:
         matrix.set_entry(0, "b", 7.0)
         assert matrix.row_ects(0) == {"a": 10.0, "b": 7.0}
 
+    def test_write_column_equals_per_entry_writes(self):
+        rng = random.Random(11)
+        bulk = EstimateMatrix(("a", "b", "c"))
+        single = EstimateMatrix(("a", "b", "c"))
+        for job_id in range(40):
+            ects = {name: rng.choice(_ECT_POOL) for name in "abc" if rng.random() < 0.7}
+            bulk.add_row(job_id, 0.0, 1, ects)
+            single.add_row(job_id, 0.0, 1, ects)
+        rows = np.array(sorted(rng.sample(range(40), 25)), dtype=np.intp)
+        values = np.array([rng.choice(_ECT_POOL) for _ in rows])
+        fits = np.array([rng.random() < 0.6 for _ in rows])
+        bulk.write_column(rows, "b", values, fits)
+        for row, value, fit in zip(rows.tolist(), values.tolist(), fits.tolist()):
+            if fit:
+                single.set_entry(row, "b", value)
+            else:
+                single.clear_entry(row, "b")
+        assert np.array_equal(bulk.ects_block(np.arange(40)), single.ects_block(np.arange(40)))
+        assert np.array_equal(bulk.fits_block(np.arange(40)), single.fits_block(np.arange(40)))
+        bulk.set_current_ects(rows[:5], values[:5])
+        for row, value in zip(rows[:5].tolist(), values[:5].tolist()):
+            single.set_current(row, single.current_of(row)[0], value)
+        assert np.array_equal(
+            bulk.current_ects(np.arange(40)), single.current_ects(np.arange(40))
+        )
+
     def test_set_current_round_trips(self):
         matrix = EstimateMatrix(("a", "b"))
         matrix.add_row(1, 0.0, 1, {"a": 10.0}, "a", 10.0)
@@ -300,6 +326,112 @@ class TestTableStalePrune:
         estimate = table.estimate_of(1)
         assert set(estimate.ects) == {"alpha"}
         assert estimate.current_ect == math.inf  # resubmitting there is impossible
+
+
+def _per_row_refresh(table, cluster_names):
+    """``_EstimateTable.refresh_clusters`` written one row at a time."""
+    from repro.batch.job import JobState
+
+    matrix = table.matrix
+    rows = matrix.alive_rows()
+    for name in cluster_names:
+        server = table._servers[name]
+        batch_rows, batch_jobs = [], []
+        for row in rows:
+            job = table.job_of(matrix.job_id_at(row))
+            current_cluster, _ = matrix.current_of(row)
+            waiting_here = (
+                name == current_cluster
+                and job.state is JobState.WAITING
+                and job.cluster == current_cluster
+            )
+            if not server.fits_now(job):
+                matrix.clear_entry(row, name)
+                if name == current_cluster and not waiting_here:
+                    matrix.set_current(row, current_cluster, math.inf)
+                continue
+            if waiting_here:
+                value = server.planned_completion(job)
+                matrix.set_entry(row, name, value)
+                matrix.set_current(row, current_cluster, value)
+            else:
+                batch_rows.append(int(row))
+                batch_jobs.append(job)
+        values = server.estimate_completion_many(batch_jobs)
+        for row, value in zip(batch_rows, values):
+            matrix.set_entry(row, name, value)
+            current_cluster, _ = matrix.current_of(row)
+            if name == current_cluster:
+                matrix.set_current(row, current_cluster, value)
+
+
+class TestRefreshMatchesPerRowReference:
+    """The vectorised column refresh writes what a per-row loop writes."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_worlds(self, seed):
+        from repro.grid.reallocation import _EstimateTable
+        from repro.sim.kernel import SimulationKernel
+        from tests.conftest import make_server
+
+        rng = random.Random(seed)
+        kernel = SimulationKernel()
+        servers = [
+            make_server(kernel, name, procs=procs, policy=rng.choice(("fcfs", "cbf")))
+            for name, procs in (("alpha", 8), ("beta", 8), ("gamma", 16))
+        ]
+        for index, server in enumerate(servers):
+            server.submit(make_job(1000 + index, procs=server.cluster.total_procs // 2,
+                                   runtime=rng.choice((50.0, 400.0))))
+        jobs = [
+            make_job(job_id, procs=rng.randint(1, 8), runtime=float(rng.randint(10, 300)))
+            for job_id in range(30)
+        ]
+        for job in jobs:
+            rng.choice(servers).submit(job)
+        waiting = [job for job in jobs if job.cluster is not None and job.state.name == "WAITING"]
+        cancelled, origin = [], {}
+        for job in waiting[::3]:
+            if job.state.name == "WAITING":  # may have started meanwhile
+                origin[job.job_id] = job.cluster
+                next(s for s in servers if s.name == job.cluster).cancel(job)
+                cancelled.append(job)
+        still_waiting = [job for job in waiting if job not in cancelled and job.state.name == "WAITING"]
+
+        def build():
+            table = _EstimateTable(servers)
+            table.add_waiting_many([
+                (job, next(s for s in servers if s.name == job.cluster).planned_completion(job))
+                for job in still_waiting
+            ])
+            table.add_cancelled_many(cancelled, origin)
+            return table
+
+        vectorised, reference = build(), build()
+        # Perturb the world: a move (origin mismatch, possible starts
+        # behind the cancelled head), a degraded cluster, a discarded row.
+        movers = [job for job in still_waiting if job.state.name == "WAITING"]
+        if movers:
+            mover = rng.choice(movers)
+            source = next(s for s in servers if s.name == mover.cluster)
+            target = next(s for s in servers if s.name != mover.cluster)
+            source.cancel(mover)
+            target.submit(mover)
+        rng.choice(servers).apply_capacity_change(rng.choice((0, 2, 4)))
+        victim = rng.choice(still_waiting + cancelled).job_id
+        vectorised.discard(victim)
+        reference.discard(victim)
+
+        names = [server.name for server in servers]
+        for touched in (names[:1], names[1:], names):
+            vectorised.refresh_clusters(set(touched))
+            _per_row_refresh(reference, touched)
+            every = np.arange(vectorised.matrix.n_rows)
+            for view in ("ects_block", "fits_block", "current_ects", "current_cols"):
+                assert np.array_equal(
+                    getattr(vectorised.matrix, view)(every),
+                    getattr(reference.matrix, view)(every),
+                ), view
 
 
 class TestColumnMaskingRoundTrip:

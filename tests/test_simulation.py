@@ -62,6 +62,26 @@ class TestBaselineRun:
         assert result.rejected_count == 1
         assert result[99].state is JobState.REJECTED
 
+    @pytest.mark.parametrize("algorithm", ["standard", "cancellation"])
+    def test_rejected_jobs_do_not_keep_the_agent_ticking(self, platform, algorithm):
+        # Rejected jobs never complete; the pending-work count must still
+        # reach zero once every accepted job has completed.
+        jobs = small_trace() + [
+            make_job(90 + i, submit_time=300.0 * i, procs=64, runtime=10.0)
+            for i in range(3)
+        ]
+        simulation = GridSimulation(platform, jobs, batch_policy="cbf",
+                                    reallocation=algorithm)
+        # Bounded run: an agent that never stops would leave a tick queued.
+        result = simulation.run(until=1e6)
+        assert result.rejected_count == 3
+        assert result.completed_count == 12
+        assert not simulation._has_pending_work()
+        assert simulation.kernel.pending_events == 0
+        last_completion = max(job.completion_time for job in jobs[:12])
+        period = simulation.reallocation_agent.period
+        assert result.reallocation_events <= last_completion // period + 1
+
     def test_run_is_single_use(self, platform):
         simulation = GridSimulation(platform, small_trace())
         simulation.run()
