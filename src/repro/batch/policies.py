@@ -181,8 +181,13 @@ class IncrementalPlanner:
       its reservation simply moves from the plan to the running set;
     * ``job_finished`` at the walltime boundary — free: the availability
       from ``now`` on is unchanged;
-    * ``job_finished`` early — the only full replan: processors were
-      returned at an unpredicted time, which can improve every placement.
+    * ``job_finished`` early under FCFS — re-places the queue head only as
+      far as the released window can reach: the walk stops once the new
+      and old frontiers agree at or past the horizon of every change, then
+      keeps the old tail and patches the residual in O(moved entries);
+    * ``job_finished`` early under CBF, and capacity changes — a full
+      replan: CBF searches from ``now``, not from a frontier, so a
+      released window can move any placement.
     """
 
     __slots__ = (
@@ -364,18 +369,67 @@ class IncrementalPlanner:
         else:  # pragma: no cover - defensive, violates the invariant
             self.replan_all(now)
 
-    def job_finished(self, now: float, walltime_end: float) -> None:
+    def job_finished(self, now: float, procs: int, walltime_end: float) -> None:
         """A running job finished; call *after* ``cluster.finish_job``.
 
-        A completion at the walltime boundary changes nothing from ``now``
-        on.  An early completion released processors the plan did not know
-        about, which is the one event that can improve every waiting job's
-        placement — replan the whole queue from the live base profile.
+        The completion hands ``procs`` processors back over
+        ``[now, walltime_end)``.  At the walltime boundary that window is
+        empty and nothing changes from ``now`` on.  An early completion
+        released processors the plan did not know about, which can improve
+        any waiting job's placement: CBF replans the whole queue from the
+        live base profile, FCFS re-places only the part of the queue the
+        released window can reach (:meth:`_replan_released`).
         """
-        if walltime_end > now:
-            self.replan_all(now)
-        else:
+        if walltime_end <= now:
             self.advance(now)
+        elif self.keep_queue_order:
+            self._replan_released(now, procs, walltime_end)
+        else:
+            self.replan_all(now)
+
+    def _replan_released(self, now: float, procs: int, walltime_end: float) -> None:
+        """Exact FCFS replan after ``procs`` processors came back early.
+
+        The queue is re-placed in order on the new base profile.  Before
+        any queue position, the profile the new walk sees differs from the
+        one the old plan saw only on ``[now, horizon)``: the released
+        window ``[now, walltime_end)`` plus the old and new reservations of
+        every entry that moved, whose ends raise ``horizon``.  An FCFS
+        search from frontier ``F`` reads the profile on ``[F, inf)`` only,
+        so once the new and old frontiers are equal and at or past the
+        horizon, the next entry keeps its old placement, the horizon stays
+        put, and by induction so does every entry behind it.  The walk stops
+        there: the old tail is kept and the residual is patched from the
+        old one in O(moved entries).  A walk that reaches the end of the
+        queue leaves exactly the full replan.
+        """
+        self.advance(now)
+        self.generation += 1
+        plan = self.plan
+        old_entries = plan.entries
+        old_residual = plan.residual
+        old_plan_frontier = plan.frontier()
+        plan.reset(self.cluster.availability(now), now)
+        plan.frontier()  # seed the cache that ``place`` maintains
+        horizon = walltime_end
+        old_frontier = new_frontier = now
+        release = [(now, walltime_end, procs)]
+        reserve = []
+        speed = self.speed
+        for index, job in enumerate(self.jobs):
+            if new_frontier == old_frontier >= horizon:
+                plan.splice(index, old_entries, old_residual, old_plan_frontier, release, reserve)
+                return
+            old = old_entries[index]
+            new = plan.place(job.job_id, job.procs, job.walltime_on(speed), new_frontier)
+            if not math.isfinite(new.planned_start):
+                continue  # never placeable, in either plan: the capacity did not change
+            new_frontier = new.planned_start
+            old_frontier = old.planned_start
+            if new.planned_start != old.planned_start:  # same duration: start decides
+                release.append((old.planned_start, old.planned_end, old.procs))
+                reserve.append((new.planned_start, new.planned_end, new.procs))
+                horizon = max(horizon, old.planned_end, new.planned_end)
 
     def requeue_front(self, jobs: Sequence[Job], now: float) -> None:
         """Re-enter ``jobs`` at the head of the queue after a capacity change.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.batch.profile import AvailabilityProfile
 
@@ -199,7 +199,11 @@ class IncrementalPlan:
             return
         self.residual.advance(now)
         self.now = now
-        self._invalidate()
+        self._cached_plan = None
+        # The frontier is max(now, latest finite start): a cached value
+        # only needs the new left edge folded in.
+        if self._frontier is not None and now > self._frontier:
+            self._frontier = now
 
     def place(self, job_id: int, procs: int, duration: float, earliest: float) -> PlannedJob:
         """Place one job at the earliest slot of the residual and append it."""
@@ -246,6 +250,39 @@ class IncrementalPlan:
                 self.residual.add(start, end, procs)
             self.residual.compact()
         self._invalidate()
+
+    def splice(
+        self,
+        index: int,
+        entries: List[PlannedJob],
+        residual: AvailabilityProfile,
+        frontier: float,
+        release: List[Tuple[float, float, int]],
+        reserve: List[Tuple[float, float, int]],
+    ) -> None:
+        """Keep ``entries[index:]`` of an earlier plan behind the current entries.
+
+        The caller has re-placed positions ``0..index-1`` and proved that
+        the earlier plan's entries from ``index`` on are still exact.  The
+        residual is rebuilt from the earlier plan's ``residual`` rather
+        than by re-placing the tail: every ``(start, end, procs)`` of
+        ``release`` is added back (freed processors and the old
+        reservations of moved entries), every one of ``reserve`` (their new
+        reservations) subtracted, then the profile is compacted — O(moved
+        entries), not O(queue).  ``frontier`` is the earlier plan's
+        frontier, which the kept tail carries over.  ``entries`` itself
+        becomes the plan's list, its head overwritten in O(index).
+        """
+        entries[:index] = self.entries
+        self.entries = entries
+        for start, end, procs in release:
+            residual.add(start, end, procs)
+        for start, end, procs in reserve:
+            residual.subtract(start, end, procs)
+        residual.compact()
+        self.residual = residual
+        self._cached_plan = None
+        self._frontier = frontier
 
     def remove_started(self, index: int) -> None:
         """Drop the entry of a job that started exactly at its planned slot.

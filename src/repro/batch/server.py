@@ -504,7 +504,7 @@ class BatchServer:
         now = self.kernel.now
         self._completion_events.pop(job.job_id, None)
         entry = self.cluster.finish_job(job.job_id, now)
-        self._planner.job_finished(now, entry.walltime_end)
+        self._planner.job_finished(now, entry.procs, entry.walltime_end)
         job.state = JobState.COMPLETED
         job.completion_time = now
         self.completed_count += 1

@@ -317,7 +317,12 @@ async def _read_request(
                 length = int(value.strip())
             except ValueError as exc:
                 raise ConnectionError(f"bad Content-Length {value!r}") from exc
+    if length < 0:
+        raise ConnectionError(f"bad Content-Length {length}")
     if length > MAX_REQUEST_BYTES:
         raise ConnectionError(f"request body too large ({length} bytes)")
-    body = await reader.readexactly(length) if length else b""
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError as exc:
+        raise ConnectionError("truncated request body") from exc
     return method.upper(), path, body

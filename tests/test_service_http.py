@@ -16,6 +16,7 @@ from repro.service import (
     bombard,
     synthetic_specs,
 )
+from repro.service.http import MAX_REQUEST_BYTES
 
 
 def platform() -> PlatformSpec:
@@ -156,6 +157,50 @@ class TestRoutes:
             assert document["rejected"] == 20 - document["accepted"]
 
         run_with_http(test, started=False, high_water=10, max_queue=100)
+
+
+class TestMalformedRequests:
+    """A malformed request closes its connection and nothing else."""
+
+    @staticmethod
+    def send_raw(data: bytes, close_after_send: bool = False):
+        async def test(service, client):
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(lambda _loop, context: errors.append(context))
+            reader, writer = await asyncio.open_connection(client.host, client.port)
+            writer.write(data)
+            await writer.drain()
+            if close_after_send:
+                writer.close()
+                await writer.wait_closed()
+            else:
+                # The server hangs up without answering.
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+                writer.close()
+            for _ in range(10):  # let the connection handler run to its end
+                await asyncio.sleep(0.01)
+            status, health = await client.health()
+            return errors, status, health
+
+        errors, status, health = run_with_http(test)
+        assert errors == []
+        assert status == 200 and health["status"] == "ok"
+
+    def test_negative_content_length(self):
+        self.send_raw(b"POST /submit HTTP/1.1\r\nContent-Length: -5\r\n\r\n")
+
+    def test_body_truncated_by_the_client_closing(self):
+        self.send_raw(
+            b"POST /submit HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"procs\": 1",
+            close_after_send=True,
+        )
+
+    def test_body_over_the_size_limit(self):
+        self.send_raw(
+            f"POST /submit HTTP/1.1\r\nContent-Length: {MAX_REQUEST_BYTES + 1}\r\n\r\n"
+            .encode("ascii") + b"x" * 1024
+        )
 
 
 class TestKeepAlive:
