@@ -17,13 +17,21 @@ The harness is controlled by environment variables:
 * ``REPRO_BENCH_STORE`` — optional directory of a persistent
   :class:`~repro.store.ResultStore`; a warm store lets the whole table
   suite run with zero re-simulations.
+
+The perf benchmarks measure production paths against the references in
+``tests/oracles/``, so ``tests/`` goes on ``sys.path`` here: a benchmark
+run on its own imports them as ``oracles`` exactly like the test suite.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from repro.experiments.config import SweepConfig
 from repro.experiments.runner import ExperimentRunner

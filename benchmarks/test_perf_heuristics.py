@@ -2,11 +2,11 @@
 
 The offline heuristics of Section 2.2.2 re-rank every remaining candidate
 at every step of a reallocation tick, so one tick over ``n`` candidates
-costs O(n²) selection-key evaluations.  The historical hot path
-materialised one :class:`JobEstimate` (with a fresh ECT dict) per
-remaining candidate per step — ~n²/2 object builds per tick — and ran
-``Heuristic.select`` over the resulting list.  The columnar engine keeps
-the same numbers in a NumPy (candidates × clusters)
+costs O(n²) selection-key evaluations.  The object-based reference of
+``tests/oracles/heuristics.py`` materialises one ``JobEstimate`` (with a
+fresh ECT dict) per remaining candidate per step — ~n²/2 object builds
+per tick — and runs its ``select`` over the resulting list.  The
+columnar engine keeps the same numbers in a NumPy (candidates × clusters)
 :class:`~repro.core.estimation.EstimateMatrix` and replaces each step by
 a vectorised ``Heuristic.select_index`` argmin over the alive rows,
 materialising nothing until a job is actually chosen.
@@ -29,7 +29,8 @@ from perfutil import best_of, publish_report, speedup as wall_speedup
 
 from repro.batch.job import Job
 from repro.core.estimation import EstimateMatrix
-from repro.core.heuristics import HEURISTIC_NAMES, JobEstimate, get_heuristic
+from repro.core.heuristics import HEURISTIC_NAMES, get_heuristic
+from oracles.heuristics import JobEstimate, select
 
 #: Candidates of the benchmarked tick (the ISSUE's 500-candidate target).
 CANDIDATES = 500
@@ -74,7 +75,7 @@ def build_candidates():
 
 
 def drain_objects(candidates, heuristic):
-    """Historical tick loop: JobEstimate list rebuilt at every step."""
+    """Reference tick loop: JobEstimate list rebuilt at every step."""
     remaining = {job.job_id: (job, current, ect, ects) for job, current, ect, ects in candidates}
     order = []
     while remaining:
@@ -82,7 +83,7 @@ def drain_objects(candidates, heuristic):
             JobEstimate(job=job, current_cluster=current, current_ect=ect, ects=dict(ects))
             for job, current, ect, ects in remaining.values()
         ]
-        chosen = heuristic.select(estimates)
+        chosen = select(heuristic, estimates)
         order.append(chosen.job.job_id)
         del remaining[chosen.job.job_id]
     return order

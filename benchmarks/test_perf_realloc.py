@@ -1,8 +1,9 @@
 """Reallocation-tick benchmark: persistent engine vs per-tick rebuild.
 
-Until this refactor every reallocation tick rebuilt its estimate table
-from scratch: one batched ECT query per cluster over *every* waiting job,
-even when nothing had changed since the previous tick.  The persistent
+The rebuild reference (``RebuildAgent`` of ``tests/oracles/reallocation.py``)
+builds its estimate table from scratch at every tick: one batched ECT
+query per cluster over *every* waiting job, even when nothing changed
+since the previous tick.  The persistent
 :class:`~repro.grid.reallocation.ReallocationEngine` keeps the matrix
 alive across ticks and re-queries only *dirty* clusters (state-generation
 counters plus a now-crossing check on the cached starts), so a
@@ -46,6 +47,7 @@ from repro.batch.job import Job
 from repro.batch.server import BatchServer
 from repro.grid.reallocation import ReallocationAgent
 from repro.sim.kernel import SimulationKernel
+from oracles.reallocation import RebuildAgent
 
 #: Waiting jobs across the grid at the benchmarked ticks.
 DEFAULT_DEPTHS = (10_000,)
@@ -99,9 +101,10 @@ def build_agent(depth: int, incremental: bool, algorithm: str, heuristic: str):
             )
         )
     assert sum(server.queue_length for server in servers) == depth
-    return ReallocationAgent(
+    agent_class = ReallocationAgent if incremental else RebuildAgent
+    return agent_class(
         kernel, servers, heuristic=heuristic, algorithm=algorithm,
-        threshold=THRESHOLD, incremental=incremental,
+        threshold=THRESHOLD,
     )
 
 

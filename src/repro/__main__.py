@@ -809,26 +809,29 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 
 def _build_service(args: argparse.Namespace) -> MetaSchedulerService:
     platform = _SERVICE_PLATFORMS[args.platform](args.heterogeneous)
-    config = ServiceConfig(
-        heartbeat=args.heartbeat,
-        admission_batch=args.admission_batch,
-        max_queue=args.max_queue,
-        high_water=min(args.high_water, args.max_queue),
-        backpressure=args.backpressure,
-        reallocation_interval=args.reallocation_interval,
-        reallocation_algorithm=args.reallocation_algorithm,
-        reallocation_heuristic=args.reallocation_heuristic,
-        reallocation_threshold=args.reallocation_threshold,
-    )
-    return MetaSchedulerService(
-        platform,
-        batch_policy=args.policy,
-        mapping_policy=args.mapping,
-        clock=args.clock,
-        clock_rate=args.clock_rate,
-        config=config,
-        profile_engine=args.profile_engine,
-    )
+    try:
+        config = ServiceConfig(
+            heartbeat=args.heartbeat,
+            admission_batch=args.admission_batch,
+            max_queue=args.max_queue,
+            high_water=min(args.high_water, args.max_queue),
+            backpressure=args.backpressure,
+            reallocation_interval=args.reallocation_interval,
+            reallocation_algorithm=args.reallocation_algorithm,
+            reallocation_heuristic=args.reallocation_heuristic,
+            reallocation_threshold=args.reallocation_threshold,
+        )
+        return MetaSchedulerService(
+            platform,
+            batch_policy=args.policy,
+            mapping_policy=args.mapping,
+            clock=args.clock,
+            clock_rate=args.clock_rate,
+            config=config,
+            profile_engine=args.profile_engine,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"repro: error: {exc}")
 
 
 async def _serve_async(args: argparse.Namespace) -> int:

@@ -17,7 +17,6 @@ from repro.core.estimation import EstimateMatrix
 from repro.core.heuristics import (
     HEURISTIC_NAMES,
     Heuristic,
-    JobEstimate,
     MaxGain,
     MaxMin,
     MaxRelGain,
@@ -26,12 +25,7 @@ from repro.core.heuristics import (
     Sufferage,
     get_heuristic,
 )
-from repro.core.metrics import (
-    ComparisonMetrics,
-    compare_runs,
-    compare_runs_reference,
-    compare_tables,
-)
+from repro.core.metrics import ComparisonMetrics, compare_runs, compare_tables
 from repro.core.results import JobRecord, RunResult
 
 __all__ = [
@@ -39,7 +33,6 @@ __all__ = [
     "EstimateMatrix",
     "HEURISTIC_NAMES",
     "Heuristic",
-    "JobEstimate",
     "JobRecord",
     "MaxGain",
     "MaxMin",
@@ -49,7 +42,6 @@ __all__ = [
     "RunResult",
     "Sufferage",
     "compare_runs",
-    "compare_runs_reference",
     "compare_tables",
     "get_heuristic",
 ]

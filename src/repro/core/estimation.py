@@ -2,10 +2,10 @@
 
 The reallocation heuristics (Section 2.2.2) re-query, at every step of a
 tick, the expected completion time of every remaining candidate on every
-cluster — the O(n²) cost the paper quotes for the offline heuristics.  The
-historical hot path materialised one :class:`~repro.core.heuristics
-.JobEstimate` per candidate per step and ran the selection over Python
-dicts; at 500 candidates that is ~125k object builds per tick.
+cluster — the O(n²) cost the paper quotes for the offline heuristics.  An
+object-based selection materialises one estimate object per candidate per
+step and runs the selection over Python dicts; at 500 candidates that is
+~125k object builds per tick.
 
 :class:`EstimateMatrix` stores the same information *columnar*:
 
@@ -28,10 +28,10 @@ alive rows.
 
 The derived-quantity helpers (:meth:`EstimateMatrix.best_ects`,
 :meth:`second_best_ects`, :meth:`gains`, :meth:`relative_gains`,
-:meth:`sufferages`) replicate the scalar semantics of the corresponding
-:class:`JobEstimate` properties bit for bit — same IEEE operations, same
-infinity conventions — so the vectorised and the object-based selection
-are interchangeable (the differential suite in
+:meth:`sufferages`) replicate bit for bit the scalar properties of the
+object-based reference in ``tests/oracles/heuristics.py`` — same IEEE
+operations, same infinity conventions — so the vectorised and the
+object-based selection are interchangeable (the differential suite in
 ``tests/test_estimation_matrix.py`` enforces it).
 """
 
@@ -59,7 +59,8 @@ class EstimateMatrix:
     The matrix only holds numbers: it knows candidates by ``job_id``, not
     by :class:`~repro.batch.job.Job` object, so it can be built and
     benchmarked without a simulation behind it.  The grid layer's
-    ``_EstimateTable`` owns the job objects and keeps them in sync.
+    :class:`~repro.grid.reallocation.ReallocationEngine` owns the job
+    objects and keeps them in sync.
     """
 
     __slots__ = (
@@ -88,7 +89,7 @@ class EstimateMatrix:
         }
         # Column indices sorted by cluster name: the (ECT, name) tie-break
         # of best_cols/best_other_cols picks the first candidate in this
-        # order, matching JobEstimate's min over (value, name) pairs.
+        # order, matching a scalar min over (value, name) pairs.
         self._cols_by_name = np.array(
             sorted(range(len(self.clusters)), key=lambda col: self.clusters[col]),
             dtype=np.intp,
@@ -309,7 +310,7 @@ class EstimateMatrix:
         self._current_ect[rows] = ects
 
     # ------------------------------------------------------------------ #
-    # Row readback (for materialising the selected JobEstimate)          #
+    # Row readback                                                       #
     # ------------------------------------------------------------------ #
     def row_ects(self, row: int) -> Dict[str, float]:
         """ECT dict of one row — only the clusters the candidate fits on."""
@@ -365,20 +366,18 @@ class EstimateMatrix:
     def best_cols(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-row (best column, best ECT) over the fitting clusters.
 
-        Mirrors :attr:`JobEstimate.best_cluster` / :attr:`best_ect`: ties
-        on the ECT value are broken by cluster *name*, and a row that fits
-        nowhere reports ``(-1, inf)``.  With every fitting ECT infinite the
-        name-smallest fitting column is still reported, exactly like the
-        scalar ``min`` over the ``(value, name)`` pairs of the dict.
+        Ties on the ECT value are broken by cluster *name*, and a row that
+        fits nowhere reports ``(-1, inf)``.  With every fitting ECT infinite
+        the name-smallest fitting column is still reported, exactly like a
+        scalar ``min`` over the ``(value, name)`` pairs of an ECT dict.
         """
         return self._pick_named(rows, self._ects[rows], self._fits[rows])
 
     def best_other_cols(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-row (column, ECT) of the best cluster excluding the current.
 
-        Mirrors :attr:`JobEstimate.best_other_cluster` /
-        :attr:`best_other_ect`: the row's current column is excluded from
-        the minimum, and ``(-1, inf)`` means no *other* cluster fits.
+        The row's current column is excluded from the minimum, and
+        ``(-1, inf)`` means no *other* cluster fits.
         """
         ects = self._ects[rows].copy()
         fits = self._fits[rows].copy()
@@ -389,7 +388,7 @@ class EstimateMatrix:
         return self._pick_named(rows, ects, fits)
 
     # ------------------------------------------------------------------ #
-    # Derived vectors (bit-identical to the JobEstimate properties)      #
+    # Derived vectors (bit-identical to the scalar reference)            #
     # ------------------------------------------------------------------ #
     def best_ects(self, rows: np.ndarray) -> np.ndarray:
         """Minimum ECT per row (``inf`` when the candidate fits nowhere)."""
@@ -410,8 +409,7 @@ class EstimateMatrix:
     def second_best_ects(self, rows: np.ndarray) -> np.ndarray:
         """Second-smallest ECT per row, over the *fitting* clusters only.
 
-        Mirrors :attr:`JobEstimate.second_best_ect`: with a single fitting
-        cluster the second-best equals the best (not the ``inf`` padding of
+        With a single fitting cluster the second-best equals the best (not the ``inf`` padding of
         the non-fitting columns), and with none it is ``inf``.
         """
         return self._best_and_second(rows)[1]
@@ -421,7 +419,7 @@ class EstimateMatrix:
         return self._current_ect[rows]
 
     def gains(self, rows: np.ndarray) -> np.ndarray:
-        """Seconds gained by moving to the best cluster (JobEstimate.gain)."""
+        """Seconds gained by moving to the best cluster (may be negative)."""
         best = self.best_ects(rows)
         current = self._current_ect[rows]
         with np.errstate(invalid="ignore"):

@@ -4,167 +4,45 @@ Section 2.2.2 of the paper compares one online heuristic (MCT) and five
 offline heuristics (MinMin, MaxMin, MaxGain, MaxRelGain, Sufferage).  At
 each step of a reallocation event the heuristic picks, among the remaining
 candidate jobs, the next one to (re)schedule.  The inputs of a decision are
-the per-cluster expected completion times (ECTs) of every candidate,
-captured in :class:`JobEstimate`.
+the per-cluster expected completion times (ECTs) of every candidate, held
+in the rows of an :class:`~repro.core.estimation.EstimateMatrix`.
 
 All heuristics are deterministic: ties on the selection criterion are
 broken by the job's submission time and then its id, so experiments are
-exactly reproducible.
+exactly reproducible.  :meth:`Heuristic.select_index` is an argmin of the
+heuristic's :meth:`~Heuristic.key_array` over the alive matrix rows, with
+the (submit_time, job_id) tie-break applied as secondary sort keys.
 
-Each heuristic exposes the same decision through two interchangeable
-paths:
-
-* :meth:`Heuristic.select` — the object-based reference, a ``min`` over a
-  sequence of :class:`JobEstimate`; kept as the differential oracle;
-* :meth:`Heuristic.select_index` — the vectorised hot path, an argmin over
-  the alive rows of an :class:`~repro.core.estimation.EstimateMatrix`,
-  with the (submit_time, job_id) tie-break applied as secondary sort keys.
-
-Both compute the identical IEEE-754 key values, so they agree bit for bit
-(``tests/test_estimation_matrix.py`` enforces it on randomized inputs).
+The object-based reference — one estimate object per candidate and a
+``min`` over scalar keys — lives in ``tests/oracles/heuristics.py``;
+``tests/test_estimation_matrix.py`` holds the two to each other bit for
+bit on randomized inputs.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Type
 
 import numpy as np
-
-from repro.batch.job import Job
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (estimation is numbers-only)
     from repro.core.estimation import EstimateMatrix
 
 
-@dataclass(frozen=True, slots=True)
-class JobEstimate:
-    """Per-cluster completion estimates of one candidate job.
-
-    Parameters
-    ----------
-    job:
-        The candidate job.
-    current_cluster:
-        Cluster where the job currently waits (Algorithm 1) or waited
-        before being cancelled (Algorithm 2).
-    current_ect:
-        Expected completion time at its current (or previous) location.
-    ects:
-        Expected completion time on every cluster of the platform the job
-        fits on, including the current one.
-    """
-
-    job: Job
-    current_cluster: Optional[str]
-    current_ect: float
-    ects: Dict[str, float]
-
-    # ------------------------------------------------------------------ #
-    # Derived values used by the heuristics                              #
-    # ------------------------------------------------------------------ #
-    @property
-    def best_cluster(self) -> Optional[str]:
-        """Cluster with the minimum ECT (``None`` if the job fits nowhere)."""
-        if not self.ects:
-            return None
-        return min(self.ects.items(), key=lambda item: (item[1], item[0]))[0]
-
-    @property
-    def best_ect(self) -> float:
-        """Minimum ECT over all clusters."""
-        if not self.ects:
-            return math.inf
-        return min(self.ects.values())
-
-    @property
-    def second_best_ect(self) -> float:
-        """Second smallest ECT (equals :attr:`best_ect` with a single cluster)."""
-        if not self.ects:
-            return math.inf
-        values = sorted(self.ects.values())
-        return values[1] if len(values) > 1 else values[0]
-
-    @property
-    def best_other_cluster(self) -> Optional[str]:
-        """Cluster with the minimum ECT excluding the current one."""
-        others = {
-            name: ect for name, ect in self.ects.items() if name != self.current_cluster
-        }
-        if not others:
-            return None
-        return min(others.items(), key=lambda item: (item[1], item[0]))[0]
-
-    @property
-    def best_other_ect(self) -> float:
-        """Minimum ECT over the clusters other than the current one."""
-        others = [ect for name, ect in self.ects.items() if name != self.current_cluster]
-        return min(others) if others else math.inf
-
-    @property
-    def gain(self) -> float:
-        """Seconds gained by moving to the best cluster (may be negative)."""
-        best = self.best_ect
-        if not math.isfinite(best) or not math.isfinite(self.current_ect):
-            return -math.inf if not math.isfinite(best) else math.inf
-        return self.current_ect - best
-
-    @property
-    def relative_gain(self) -> float:
-        """Gain divided by the job's processor count (MaxRelGain criterion)."""
-        return self.gain / self.job.procs
-
-    @property
-    def sufferage(self) -> float:
-        """Difference between the two best ECTs (Sufferage criterion)."""
-        best = self.best_ect
-        second = self.second_best_ect
-        if not math.isfinite(best):
-            return 0.0
-        if not math.isfinite(second):
-            return math.inf
-        return second - best
-
-
-def _tie_break(estimate: JobEstimate) -> Tuple[float, int]:
-    return (estimate.job.submit_time, estimate.job.job_id)
-
-
 class Heuristic:
     """Base class of the selection heuristics.
 
-    Subclasses implement :meth:`key`, the value to be minimised when
-    choosing the next job.  ``name`` is the identifier used in tables and
-    configuration files; ``online`` is True for heuristics whose ordering
-    does not depend on the ECTs (the paper's O(n) case).
+    Subclasses implement :meth:`key_array`, the per-row value to be
+    minimised when choosing the next job.  ``name`` is the identifier used
+    in tables and configuration files; ``online`` is True for heuristics
+    whose ordering does not depend on the ECTs (the paper's O(n) case).
     """
 
     name: str = "abstract"
     online: bool = False
 
-    def key(self, estimate: JobEstimate) -> float:  # pragma: no cover - abstract
-        """Selection key (minimised) for one candidate."""
-        raise NotImplementedError
-
-    def select(self, candidates: Sequence[JobEstimate]) -> JobEstimate:
-        """Pick the next job among ``candidates``.
-
-        Raises
-        ------
-        ValueError
-            If ``candidates`` is empty.
-        """
-        if not candidates:
-            raise ValueError(f"{self.name}: cannot select from an empty candidate set")
-        return min(candidates, key=lambda est: (self.key(est), _tie_break(est)))
-
-    def order(self, candidates: Sequence[JobEstimate]) -> list[JobEstimate]:
-        """Full ordering of the candidates (best first); used by analyses."""
-        return sorted(candidates, key=lambda est: (self.key(est), _tie_break(est)))
-
     def key_array(self, matrix: "EstimateMatrix", rows: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`key` over the given matrix rows."""
+        """Selection keys (minimised) of the given matrix rows."""
         raise NotImplementedError  # pragma: no cover - abstract
 
     def select_index(
@@ -173,10 +51,7 @@ class Heuristic:
         """Pick the next candidate among the matrix rows; returns a row index.
 
         ``rows`` defaults to the matrix's alive rows.  The decision is the
-        lexicographic minimum of ``(key, submit_time, job_id)``, exactly
-        like :meth:`select` over the corresponding :class:`JobEstimate`
-        objects — the key arrays apply the same IEEE-754 operations as the
-        scalar properties, so no ordering can diverge.
+        lexicographic minimum of ``(key, submit_time, job_id)``.
 
         Raises
         ------
@@ -208,9 +83,6 @@ class MctOrder(Heuristic):
     name = "mct"
     online = True
 
-    def key(self, estimate: JobEstimate) -> float:
-        return estimate.job.submit_time
-
     def key_array(self, matrix: "EstimateMatrix", rows: np.ndarray) -> np.ndarray:
         return matrix.submit_times(rows)
 
@@ -220,9 +92,6 @@ class MinMin(Heuristic):
 
     name = "minmin"
 
-    def key(self, estimate: JobEstimate) -> float:
-        return estimate.best_ect
-
     def key_array(self, matrix: "EstimateMatrix", rows: np.ndarray) -> np.ndarray:
         return matrix.best_ects(rows)
 
@@ -231,10 +100,6 @@ class MaxMin(Heuristic):
     """MaxMin: pick the job with the largest best ECT (favours large jobs)."""
 
     name = "maxmin"
-
-    def key(self, estimate: JobEstimate) -> float:
-        best = estimate.best_ect
-        return -best if math.isfinite(best) else math.inf
 
     def key_array(self, matrix: "EstimateMatrix", rows: np.ndarray) -> np.ndarray:
         best = matrix.best_ects(rows)
@@ -246,10 +111,6 @@ class MaxGain(Heuristic):
 
     name = "maxgain"
 
-    def key(self, estimate: JobEstimate) -> float:
-        gain = estimate.gain
-        return -gain if math.isfinite(gain) else math.inf
-
     def key_array(self, matrix: "EstimateMatrix", rows: np.ndarray) -> np.ndarray:
         gain = matrix.gains(rows)
         return np.where(np.isfinite(gain), -gain, np.inf)
@@ -260,10 +121,6 @@ class MaxRelGain(Heuristic):
 
     name = "maxrelgain"
 
-    def key(self, estimate: JobEstimate) -> float:
-        gain = estimate.relative_gain
-        return -gain if math.isfinite(gain) else math.inf
-
     def key_array(self, matrix: "EstimateMatrix", rows: np.ndarray) -> np.ndarray:
         gain = matrix.relative_gains(rows)
         return np.where(np.isfinite(gain), -gain, np.inf)
@@ -273,10 +130,6 @@ class Sufferage(Heuristic):
     """Sufferage: pick the job that suffers most from losing its best cluster."""
 
     name = "sufferage"
-
-    def key(self, estimate: JobEstimate) -> float:
-        value = estimate.sufferage
-        return -value if math.isfinite(value) else -math.inf
 
     def key_array(self, matrix: "EstimateMatrix", rows: np.ndarray) -> np.ndarray:
         value = matrix.sufferages(rows)

@@ -18,7 +18,7 @@ run *without* reallocation (the reference experiment):
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -80,23 +80,6 @@ class ComparisonMetrics:
         )
 
 
-def _impacted_job_ids(
-    baseline: RunResult,
-    realloc: RunResult,
-    tolerance: float,
-) -> Tuple[List[int], List[int]]:
-    """Ids of jobs completed in both runs, and the subset whose completion changed."""
-    base_completions = baseline.completion_times()
-    realloc_completions = realloc.completion_times()
-    common = sorted(set(base_completions) & set(realloc_completions))
-    impacted = [
-        job_id
-        for job_id in common
-        if abs(realloc_completions[job_id] - base_completions[job_id]) > tolerance
-    ]
-    return common, impacted
-
-
 def compare_runs(
     baseline: RunResult,
     realloc: RunResult,
@@ -111,60 +94,14 @@ def compare_runs(
     This is a thin wrapper over :func:`compare_tables` — one metric
     semantics, computed columnar.  On table-backed results
     (:meth:`~repro.core.results.RunResult.to_table` is zero-copy there)
-    no per-job object is built; :func:`compare_runs_reference` keeps the
-    original per-record implementation as the differential oracle.
+    no per-job object is built.  The per-record reference implementation
+    lives in ``tests/oracles/metrics.py``.
     """
     return compare_tables(
         baseline.to_table(),
         realloc.to_table(),
         reallocations=realloc.total_reallocations,
         tolerance=tolerance,
-    )
-
-
-def compare_runs_reference(
-    baseline: RunResult,
-    realloc: RunResult,
-    tolerance: float = COMPLETION_TOLERANCE,
-) -> ComparisonMetrics:
-    """Per-record reference implementation of :func:`compare_runs`.
-
-    Walks the completion-time dicts job by job exactly as the original
-    object pipeline did.  Kept (and exercised by the randomized
-    differential tests) as the oracle for :func:`compare_tables`; the
-    production paths all go columnar.
-    """
-    common, impacted = _impacted_job_ids(baseline, realloc, tolerance)
-    n_common = len(common)
-    n_impacted = len(impacted)
-
-    base_completions = baseline.completion_times()
-    realloc_completions = realloc.completion_times()
-    earlier = sum(
-        1 for job_id in impacted if realloc_completions[job_id] < base_completions[job_id]
-    )
-
-    if n_impacted:
-        base_mean = sum(
-            base_completions[job_id] - baseline[job_id].submit_time for job_id in impacted
-        ) / n_impacted
-        realloc_mean = sum(
-            realloc_completions[job_id] - realloc[job_id].submit_time for job_id in impacted
-        ) / n_impacted
-        relative = realloc_mean / base_mean if base_mean > 0 else 1.0
-        pct_earlier = 100.0 * earlier / n_impacted
-    else:
-        relative = 1.0
-        pct_earlier = 0.0
-
-    return ComparisonMetrics(
-        compared_jobs=n_common,
-        impacted_jobs=n_impacted,
-        pct_impacted=100.0 * n_impacted / n_common if n_common else 0.0,
-        reallocations=realloc.total_reallocations,
-        earlier_jobs=earlier,
-        pct_earlier=pct_earlier,
-        relative_response_time=relative,
     )
 
 
@@ -197,8 +134,9 @@ def compare_tables(
     table form does not carry run-level counters, so the reallocation
     count of the comparison is passed explicitly.
 
-    Semantics match :func:`compare_runs_reference` (the differential test
-    in ``tests/test_jobtable.py`` holds the two to each other), including
+    Semantics match the per-record reference in ``tests/oracles/metrics.py``
+    (the differential test in ``tests/test_jobtable.py`` holds the two to
+    each other), including
     bit-identical float aggregates: the response-time sums run
     sequentially in ascending job-id order, the same order and
     associativity as the reference path.

@@ -24,6 +24,7 @@ if TYPE_CHECKING:  # runtime import would be circular (sweeps -> config)
 
 from repro.batch.arrayprofile import DEFAULT_PROFILE_ENGINE, PROFILE_ENGINES
 from repro.core.heuristics import HEURISTIC_NAMES
+from repro.grid.reallocation import check_timing
 from repro.workload.failures import OUTAGE_SCRIPT_NAMES
 from repro.workload.scenarios import SCENARIO_NAMES, get_scenario
 
@@ -142,6 +143,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown heuristic {self.heuristic!r}; expected one of {HEURISTIC_NAMES}"
             )
+        check_timing(self.reallocation_period, self.reallocation_threshold)
         if self.scale <= 0 or self.scale > 1.0:
             raise ValueError(f"scale must be in (0, 1], got {self.scale}")
         if self.mapping_policy not in MAPPING_POLICY_NAMES:

@@ -33,15 +33,14 @@ answer these queries from their live incremental planning state (see
 per estimate — the cancel/submit of a move replans only the affected queue
 suffix, never the whole queue.
 
-Since the columnar refactor the table is a thin wrapper over a
-:class:`~repro.core.estimation.EstimateMatrix`: ECTs live in a NumPy
-(candidates × clusters) matrix, table builds and column refreshes go
-through the batched :meth:`BatchServer.estimate_completion_many` query,
-and each selection step is a vectorised
-:meth:`~repro.core.heuristics.Heuristic.select_index` over the alive rows.
-A :class:`~repro.core.heuristics.JobEstimate` object is only materialised
-for the finally-selected job of each step — never for the whole candidate
-set.
+The table is a :class:`ReallocationEngine`: the ECTs live in a NumPy
+(candidates × clusters) :class:`~repro.core.estimation.EstimateMatrix`
+kept alive across ticks, builds and column refreshes go through the
+batched :meth:`BatchServer.estimate_completion_many` query, and each
+selection step is a vectorised
+:meth:`~repro.core.heuristics.Heuristic.select_index` over the alive
+rows.  The differential reference — a tick that rebuilds a fresh table
+and re-selects after every action — lives in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ import numpy as np
 from repro.batch.job import Job, JobState
 from repro.batch.server import BatchServer
 from repro.core.estimation import EstimateMatrix
-from repro.core.heuristics import Heuristic, JobEstimate, get_heuristic
+from repro.core.heuristics import Heuristic, get_heuristic
 from repro.sim.events import EventType
 from repro.sim.kernel import SimulationKernel
 
@@ -63,6 +62,21 @@ from repro.sim.kernel import SimulationKernel
 DEFAULT_THRESHOLD = 60.0
 #: Period between reallocation events (seconds); one hour in the paper.
 DEFAULT_PERIOD = 3600.0
+
+
+def check_timing(period: float, threshold: float) -> None:
+    """Reject a tick period or move threshold that no tick loop can honour.
+
+    The period must be finite and > 0, the threshold finite and >= 0.  A
+    NaN period is the trap: ``now < nan`` is always false, so a tick would
+    fire on every clock reading instead of once per period.
+    """
+    if not (math.isfinite(period) and period > 0):
+        raise ValueError(f"reallocation period must be finite and > 0, got {period}")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(
+            f"reallocation threshold must be finite and >= 0, got {threshold}"
+        )
 
 
 class ReallocationAlgorithm(enum.Enum):
@@ -75,44 +89,76 @@ class ReallocationAlgorithm(enum.Enum):
         return self.value
 
 
-class _EstimateTable:
-    """Per-cluster ECTs of the remaining candidates, refreshed incrementally.
+class ReallocationEngine:
+    """Per-cluster ECTs of the candidates, kept alive across ticks.
 
-    A thin wrapper over :class:`~repro.core.estimation.EstimateMatrix`:
-    the wrapper owns the :class:`Job` objects and the batch-server
-    handles, the matrix owns every number the heuristics read.  Table
-    builds and column refreshes query whole candidate batches through
-    :meth:`BatchServer.estimate_completion_many`, so the per-query planner
-    bookkeeping is paid once per touched cluster instead of once per
-    (job, cluster) pair.
+    The engine owns the :class:`Job` objects and the batch-server
+    handles; an :class:`~repro.core.estimation.EstimateMatrix` owns every
+    number the heuristics read.  Builds and column refreshes query whole
+    candidate batches through :meth:`BatchServer.estimate_completion_many`,
+    so the per-query planner bookkeeping is paid once per touched cluster
+    instead of once per (job, cluster) pair.
 
     Fitting is judged against the *current* capacity
     (:meth:`BatchServer.fits_now`): on a dynamic platform the column of a
     down cluster is masked exactly like a cluster the job never fit on —
     down clusters attract no moves, and a job stranded on one has an
-    infinite current ECT, so any live cluster wins it over.  A later tick
-    rebuilt after the recovery re-enters the column naturally.  On a
-    static platform ``fits_now`` equals ``fits`` and nothing changes.
+    infinite current ECT, so any live cluster wins it over.  The column
+    re-enters once the recovered cluster is refreshed.  On a static
+    platform ``fits_now`` equals ``fits`` and nothing changes.
+
+    A fresh build pays O(candidates × clusters) estimation queries.
+    Instead of rebuilding at every tick, the engine reconciles the matrix
+    with the tick's candidate set:
+
+    * rows of departed candidates (started, completed, moved out of the
+      waiting state) are masked out and eventually compacted away;
+    * rows of returning candidates are revived with their cached entries;
+    * only *dirty* clusters have their ECT column re-queried (through the
+      same batched path a build uses); brand-new candidates get a full
+      fresh row.
+
+    A cluster is **dirty** when either of two conditions holds:
+
+    1. its :attr:`BatchServer.state_generation` moved since its column was
+       last written — a submission, cancellation or replan (early
+       completion, capacity change) changed the plan or residual profile,
+       so any cached estimate against it may be stale;
+    2. any cached entry of its column implies a hypothetical start before
+       the current simulated time (``start = ect − walltime/speed``, with
+       an ulp-scaled safety margin) — estimates are anchored at query
+       time, and an entry starting in the past could not be reproduced by
+       a fresh query issued now.
+
+    Together these make cached reuse *exact*, not approximate: with an
+    unchanged profile, ``earliest_slot`` is monotone in its ``earliest``
+    argument, so a cached placement starting at or after ``now`` is
+    precisely what a fresh query would return — the engine's decisions
+    are float-identical to a per-tick rebuild's (the randomized cross-tick
+    oracle in ``tests/test_reallocation_incremental.py`` enforces it).
     """
+
+    #: Dead rows tolerated before the matrix is compacted.
+    _GARBAGE_SLACK = 256
 
     def __init__(self, servers: Sequence[BatchServer]) -> None:
         self._servers = {server.name: server for server in servers}
         self._matrix = EstimateMatrix(self._servers)
         self._jobs: Dict[int, Job] = {}
+        self._speeds = np.array(
+            [server.speed for server in self._servers.values()], dtype=np.float64
+        )
+        self._synced_generation: Dict[str, int] = {}
+        #: per-row walltimes, parallel to the matrix rows (start-time check)
+        self._walltime = np.zeros(64, dtype=np.float64)
+        #: statistics: column refreshes skipped thanks to clean clusters
+        self.clean_columns_reused = 0
+        self.sync_count = 0
 
     @property
     def matrix(self) -> EstimateMatrix:
-        """The underlying columnar store (read-mostly; used by benchmarks)."""
+        """The underlying columnar store (read-mostly)."""
         return self._matrix
-
-    @property
-    def alive_count(self) -> int:
-        """Number of candidates still selectable."""
-        return self._matrix.alive_count
-
-    def alive_jobs(self) -> List[Job]:
-        """Jobs of the still-selectable candidates, in insertion order."""
-        return [self._jobs[job_id] for job_id in self._matrix.alive_job_ids()]
 
     def job_of(self, job_id: int) -> Job:
         """The :class:`Job` object of one candidate."""
@@ -121,23 +167,11 @@ class _EstimateTable:
     # ------------------------------------------------------------------ #
     # Builds                                                             #
     # ------------------------------------------------------------------ #
-    def add(self, job: Job, current_cluster: Optional[str], current_ect: float) -> None:
-        """Register a candidate and compute its ECT on every fitting cluster."""
-        ects: Dict[str, float] = {}
-        for name, server in self._servers.items():
-            if not server.fits_now(job):
-                continue
-            if name == current_cluster and job.state is JobState.WAITING:
-                ects[name] = current_ect
-            else:
-                ects[name] = server.estimate_completion(job)
-        self._insert(job, ects, current_cluster, current_ect)
-
     def add_waiting_many(self, entries: Sequence[Tuple[Job, float]]) -> None:
-        """Batched Algorithm 1 build: ``(job, planned completion)`` pairs.
+        """Algorithm 1 build: ``(job, planned completion)`` pairs.
 
-        Equivalent to calling :meth:`add` once per waiting job, but every
-        foreign cluster's column is estimated in one
+        A job's entry on the cluster it waits on is its planned
+        completion; every foreign cluster's column is estimated in one
         :meth:`~BatchServer.estimate_completion_many` batch.
         """
         ects_of: Dict[int, Dict[str, float]] = {job.job_id: {} for job, _ in entries}
@@ -155,25 +189,13 @@ class _EstimateTable:
         for job, planned in entries:
             self._insert(job, ects_of[job.job_id], job.cluster, planned)
 
-    def add_cancelled(self, job: Job, origin: str) -> None:
-        """Register a just-cancelled candidate (Algorithm 2 path).
+    def add_cancelled_many(self, jobs: Sequence[Job], origin_of: Mapping[int, str]) -> None:
+        """Algorithm 2 build over a cancelled set.
 
         A cancelled job no longer occupies a queue slot anywhere, so its
         "current" ECT *is* the estimate of resubmitting it to the cluster
-        it came from — which :meth:`add` would compute a second time after
-        the caller pre-computed it for the ``current_ect`` argument.
-        Building the tick's table directly from the cancelled set computes
-        every (job, cluster) estimate exactly once.
+        it came from: every (job, cluster) estimate is computed once.
         """
-        ects: Dict[str, float] = {
-            name: server.estimate_completion(job)
-            for name, server in self._servers.items()
-            if server.fits_now(job)
-        }
-        self._insert(job, ects, origin, ects.get(origin, math.inf))
-
-    def add_cancelled_many(self, jobs: Sequence[Job], origin_of: Mapping[int, str]) -> None:
-        """Batched Algorithm 2 build over the whole cancelled set."""
         ects_of: Dict[int, Dict[str, float]] = {job.job_id: {} for job in jobs}
         for name, server in self._servers.items():
             batch = [job for job in jobs if server.fits_now(job)]
@@ -192,9 +214,16 @@ class _EstimateTable:
         current_ect: float,
     ) -> None:
         self._jobs[job.job_id] = job
-        self._matrix.add_row(
+        row = self._matrix.add_row(
             job.job_id, job.submit_time, job.procs, ects, current_cluster, current_ect
         )
+        if row >= self._walltime.shape[0]:
+            grown = np.zeros(
+                max(self._walltime.shape[0] * 2, row + 1), dtype=np.float64
+            )
+            grown[: self._walltime.shape[0]] = self._walltime
+            self._walltime = grown
+        self._walltime[row] = job.walltime
 
     # ------------------------------------------------------------------ #
     # Selection-loop operations                                          #
@@ -203,21 +232,6 @@ class _EstimateTable:
         """Remove a candidate from every subsequent selection."""
         self._jobs.pop(job_id, None)
         self._matrix.discard_job(job_id)
-
-    def select(self, heuristic: Heuristic) -> int:
-        """Vectorised pick over the alive rows; returns the chosen job id."""
-        return self._matrix.job_id_at(heuristic.select_index(self._matrix))
-
-    def estimate_of(self, job_id: int) -> JobEstimate:
-        """Materialise the :class:`JobEstimate` of one candidate."""
-        row = self._matrix.row_of(job_id)
-        current_cluster, current_ect = self._matrix.current_of(row)
-        return JobEstimate(
-            job=self._jobs[job_id],
-            current_cluster=current_cluster,
-            current_ect=current_ect,
-            ects=self._matrix.row_ects(row),
-        )
 
     def refresh_clusters(self, cluster_names: Iterable[str]) -> None:
         """Recompute the ECTs of every candidate on the given clusters only.
@@ -265,82 +279,6 @@ class _EstimateTable:
             # that no longer fits keeps its current ECT.
             follow = at_current & (fits | ~waiting_here)
             matrix.set_current_ects(rows[follow], values[follow])
-
-    def estimates(self, job_ids: Iterable[int]) -> List[JobEstimate]:
-        """Materialise :class:`JobEstimate` objects for the given candidates.
-
-        The differential-reference path: the selection loop itself only
-        materialises the finally-selected job via :meth:`estimate_of`.
-        """
-        return [self.estimate_of(job_id) for job_id in job_ids]
-
-
-class ReallocationEngine(_EstimateTable):
-    """Persistent cross-tick estimate table with dirty-cluster invalidation.
-
-    A fresh ``_EstimateTable`` build pays O(candidates × clusters)
-    estimation queries at *every* tick, even when nothing changed since
-    the last one.  The engine keeps the matrix alive across ticks and, at
-    each tick, reconciles it with the new candidate set instead:
-
-    * rows of departed candidates (started, completed, moved out of the
-      waiting state) are masked out and eventually compacted away;
-    * rows of returning candidates are revived with their cached entries;
-    * only *dirty* clusters have their ECT column re-queried (through the
-      same batched :meth:`BatchServer.estimate_completion_many` path a
-      fresh build uses); brand-new candidates get a full fresh row.
-
-    A cluster is **dirty** when either of two conditions holds:
-
-    1. its :attr:`BatchServer.state_generation` moved since its column was
-       last written — a submission, cancellation or replan (early
-       completion, capacity change) changed the plan or residual profile,
-       so any cached estimate against it may be stale;
-    2. any cached entry of its column implies a hypothetical start before
-       the current simulated time (``start = ect − walltime/speed``, with
-       an ulp-scaled safety margin) — estimates are anchored at query
-       time, and an entry starting in the past could not be reproduced by
-       a fresh query issued now.
-
-    Together these make cached reuse *exact*, not approximate: with an
-    unchanged profile, ``earliest_slot`` is monotone in its ``earliest``
-    argument, so a cached placement starting at or after ``now`` is
-    precisely what a fresh query would return — the engine's decisions
-    are float-identical to a rebuild's (the randomized cross-tick oracle
-    in ``tests/test_reallocation_incremental.py`` enforces it).
-    """
-
-    #: Dead rows tolerated before the matrix is compacted.
-    _GARBAGE_SLACK = 256
-
-    def __init__(self, servers: Sequence[BatchServer]) -> None:
-        super().__init__(servers)
-        self._speeds = np.array(
-            [server.speed for server in self._servers.values()], dtype=np.float64
-        )
-        self._synced_generation: Dict[str, int] = {}
-        #: per-row walltimes, parallel to the matrix rows (start-time check)
-        self._walltime = np.zeros(64, dtype=np.float64)
-        #: statistics: column refreshes skipped thanks to clean clusters
-        self.clean_columns_reused = 0
-        self.sync_count = 0
-
-    def _insert(
-        self,
-        job: Job,
-        ects: Dict[str, float],
-        current_cluster: Optional[str],
-        current_ect: float,
-    ) -> None:
-        super()._insert(job, ects, current_cluster, current_ect)
-        row = self._matrix.row_of(job.job_id)
-        if row >= self._walltime.shape[0]:
-            grown = np.zeros(
-                max(self._walltime.shape[0] * 2, row + 1), dtype=np.float64
-            )
-            grown[: self._walltime.shape[0]] = self._walltime
-            self._walltime = grown
-        self._walltime[row] = job.walltime
 
     # ------------------------------------------------------------------ #
     # Cross-tick reconciliation                                          #
@@ -407,8 +345,8 @@ class ReallocationEngine(_EstimateTable):
         """Reconcile with an Algorithm 1 waiting snapshot.
 
         Afterwards every alive row is float-identical to what a fresh
-        :meth:`_EstimateTable.add_waiting_many` build over ``jobs`` would
-        hold; ``planned_of`` is only consulted for brand-new candidates.
+        :meth:`add_waiting_many` build over ``jobs`` would hold;
+        ``planned_of`` is only consulted for brand-new candidates.
         """
         survivors, new = self._sync_rows(jobs)
         dirty = self._dirty_clusters(now)
@@ -435,10 +373,10 @@ class ReallocationEngine(_EstimateTable):
         """Reconcile with an Algorithm 2 cancelled set.
 
         Afterwards every alive row is float-identical to a fresh
-        :meth:`_EstimateTable.add_cancelled_many` build: the cancels that
-        produced ``jobs`` dirtied every origin, so each survivor's origin
-        column — and with it the "current" resubmission estimate — is
-        recomputed; only untouched foreign columns are reused.
+        :meth:`add_cancelled_many` build: the cancels that produced
+        ``jobs`` dirtied every origin, so each survivor's origin column —
+        and with it the "current" resubmission estimate — is recomputed;
+        only untouched foreign columns are reused.
         """
         survivors, new = self._sync_rows(jobs)
         dirty = self._dirty_clusters(now)
@@ -478,12 +416,9 @@ class ReallocationAgent:
     has_pending_work:
         Callable returning True while the simulation still has unfinished
         jobs; the agent stops rescheduling itself once it returns False.
-    incremental:
-        When True (the default) the agent owns a persistent
-        :class:`ReallocationEngine` and each tick reconciles it instead of
-        rebuilding the estimate table from scratch; the decisions are
-        float-identical either way (``False`` keeps the historical rebuild
-        path, used as the differential reference oracle).
+
+    The agent owns one persistent :class:`ReallocationEngine`; each tick
+    reconciles it with the waiting jobs instead of rebuilding it.
     """
 
     def __init__(
@@ -495,12 +430,8 @@ class ReallocationAgent:
         period: float = DEFAULT_PERIOD,
         threshold: float = DEFAULT_THRESHOLD,
         has_pending_work: Optional[Callable[[], bool]] = None,
-        incremental: bool = True,
     ) -> None:
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
-        if threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {threshold}")
+        check_timing(period, threshold)
         if not servers:
             raise ValueError("ReallocationAgent needs at least one batch server")
         self.kernel = kernel
@@ -513,10 +444,8 @@ class ReallocationAgent:
         self.period = float(period)
         self.threshold = float(threshold)
         self.has_pending_work = has_pending_work
-        self.incremental = bool(incremental)
-        self._engine: Optional[ReallocationEngine] = (
-            ReallocationEngine(self.servers) if self.incremental else None
-        )
+        #: the persistent estimate table every tick reconciles
+        self.engine = ReallocationEngine(self.servers)
         #: total number of job moves (a job moved twice counts twice)
         self.total_reallocations = 0
         #: moves made by Algorithm 1 (tuning) ticks
@@ -526,11 +455,6 @@ class ReallocationAgent:
         #: number of reallocation ticks that fired
         self.tick_count = 0
         self._started = False
-
-    @property
-    def engine(self) -> Optional[ReallocationEngine]:
-        """The persistent estimate table (``None`` in rebuild mode)."""
-        return self._engine
 
     # ------------------------------------------------------------------ #
     # Tick scheduling                                                    #
@@ -561,16 +485,10 @@ class ReallocationAgent:
             # empty candidate set — estimates are pure queries.
             return 0
         if self.algorithm is ReallocationAlgorithm.STANDARD:
-            moves = (
-                self._run_standard_incremental()
-                if self._engine is not None
-                else self._run_standard()
-            )
+            moves = self._tick_standard()
             self.tuned_moves += moves
             return moves
-        if self._engine is not None:
-            return self._run_cancellation_incremental()
-        return self._run_cancellation()
+        return self._tick_cancellation()
 
     def _collect_waiting(self) -> List[Job]:
         """Snapshot of all waiting jobs, over all clusters, in queue order."""
@@ -580,97 +498,7 @@ class ReallocationAgent:
         return waiting
 
     # -- Algorithm 1 ----------------------------------------------------- #
-    def _run_standard(self) -> int:
-        moves = 0
-        snapshot = self._collect_waiting()
-        table = _EstimateTable(self.servers)
-        table.add_waiting_many(
-            [
-                (job, self._servers_by_name[job.cluster].planned_completion(job))
-                for job in snapshot
-            ]
-        )
-
-        prune = True
-        while table.alive_count:
-            # Prune candidates that started meanwhile (cancelling a queue
-            # head can let the local scheduler start jobs behind it).  Job
-            # states only change in a move's cancel and submit, so the scan
-            # runs once up front and once after each move.
-            if prune:
-                prune = False
-                for candidate in table.alive_jobs():
-                    if candidate.state is not JobState.WAITING:
-                        table.discard(candidate.job_id)
-                if not table.alive_count:
-                    break
-            # The selection is a vectorised argmin over the matrix rows;
-            # only the winner is materialised as a JobEstimate.
-            chosen = table.estimate_of(table.select(self.heuristic))
-            job = chosen.job
-            new_cluster = chosen.best_other_cluster
-            new_ect = chosen.best_other_ect
-            table.discard(job.job_id)
-            if (
-                new_cluster is not None
-                and math.isfinite(new_ect)
-                and new_ect + self.threshold < chosen.current_ect
-            ):
-                origin_name = job.cluster
-                origin = self._servers_by_name[origin_name]
-                destination = self._servers_by_name[new_cluster]
-                origin.cancel(job)
-                destination.submit(job)
-                job.reallocation_count += 1
-                self.total_reallocations += 1
-                moves += 1
-                prune = True
-                table.refresh_clusters({origin_name, new_cluster})
-        return moves
-
-    # -- Algorithm 2 ----------------------------------------------------- #
-    def _run_cancellation(self) -> int:
-        moves = 0
-        snapshot = self._collect_waiting()
-        previous_cluster: Dict[int, str] = {}
-        cancelled: List[Job] = []
-        for job in snapshot:
-            # A job may start while earlier jobs of the snapshot are being
-            # cancelled; it then stays where it is.
-            if job.state is not JobState.WAITING or job.cluster is None:
-                continue
-            previous_cluster[job.job_id] = job.cluster
-            self._servers_by_name[job.cluster].cancel(job)
-            cancelled.append(job)
-        self.cancelled_resubmissions += len(cancelled)
-
-        # One table serves the whole tick: every (job, cluster) estimate of
-        # the cancelled set is computed exactly once here — one batched
-        # column query per cluster — then only the clusters touched by a
-        # resubmission are refreshed.
-        table = _EstimateTable(self.servers)
-        table.add_cancelled_many(cancelled, previous_cluster)
-
-        while table.alive_count:
-            chosen = table.estimate_of(table.select(self.heuristic))
-            job = chosen.job
-            target_name = chosen.best_cluster
-            if target_name is None:
-                # Fits nowhere (cannot happen for jobs that were waiting, but
-                # keep the queue consistent by putting it back where it was).
-                target_name = previous_cluster[job.job_id]
-            target = self._servers_by_name[target_name]
-            target.submit(job)
-            if target_name != previous_cluster[job.job_id]:
-                job.reallocation_count += 1
-                self.total_reallocations += 1
-                moves += 1
-            table.discard(job.job_id)
-            table.refresh_clusters({target_name})
-        return moves
-
-    # -- Incremental-engine ticks ---------------------------------------- #
-    def _run_standard_incremental(self) -> int:
+    def _tick_standard(self) -> int:
         """Algorithm 1 over the persistent engine, drained vectorised.
 
         The decision loop walks the heuristic's full lexicographic order
@@ -681,8 +509,7 @@ class ReallocationAgent:
         one lexsort and one vectorised comparison — no per-job work at
         all.
         """
-        engine = self._engine
-        assert engine is not None
+        engine = self.engine
         engine.sync_waiting(
             self._collect_waiting(),
             lambda job: self._servers_by_name[job.cluster].planned_completion(job),
@@ -741,15 +568,15 @@ class ReallocationAgent:
             remaining = ordered_rows[mover_index + 1 :]
         return moves
 
-    def _run_cancellation_incremental(self) -> int:
+    # -- Algorithm 2 ----------------------------------------------------- #
+    def _tick_cancellation(self) -> int:
         """Algorithm 2 over the persistent engine.
 
         The cancel step empties each queue, in server order, through
-        :meth:`BatchServer.cancel_waiting`: the same cascade as the
-        rebuild path's per-job loop, without one suffix replan per job.
+        :meth:`BatchServer.cancel_waiting`: the same cascade as cancelling
+        the waiting jobs one by one, without one suffix replan per job.
         """
-        engine = self._engine
-        assert engine is not None
+        engine = self.engine
         previous_cluster: Dict[int, str] = {}
         cancelled: List[Job] = []
         for server in self.servers:
@@ -832,9 +659,9 @@ class ReallocationAgent:
         The offline heuristics read the ECTs to *order* the candidates, so
         every resubmission must refresh the touched column over all
         remaining rows before the next selection — the inherent O(n²) the
-        paper quotes.  The win over the reference loop is per-step: the
+        paper quotes.  The win over the rebuild reference is per-step: the
         selection is the vectorised key argmin and the target pick reads
-        the matrix row directly, with no ``JobEstimate`` materialisation.
+        the matrix row directly, with no per-candidate object built.
         """
         matrix = engine.matrix
         moves = 0

@@ -48,8 +48,14 @@ from typing import Deque, Dict, List, Optional, Sequence
 from repro.batch.arrayprofile import DEFAULT_PROFILE_ENGINE
 from repro.batch.job import Job, JobState
 from repro.batch.server import BatchServer, BatchServerError
+from repro.core.heuristics import HEURISTIC_NAMES
 from repro.grid.metascheduler import MappingPolicy, MetaScheduler
-from repro.grid.reallocation import DEFAULT_THRESHOLD, ReallocationAgent
+from repro.grid.reallocation import (
+    DEFAULT_PERIOD,
+    DEFAULT_THRESHOLD,
+    ReallocationAgent,
+    check_timing,
+)
 from repro.platform.spec import PlatformSpec
 from repro.service.clock import Clock, make_clock
 from repro.sim.kernel import SimulationKernel
@@ -203,18 +209,21 @@ class ServiceConfig:
             raise ValueError(
                 f"completed_retention must be >= 0, got {self.completed_retention}"
             )
-        if self.reallocation_interval is not None and self.reallocation_interval <= 0:
-            raise ValueError(
-                f"reallocation_interval must be positive, got {self.reallocation_interval}"
-            )
+        check_timing(
+            DEFAULT_PERIOD
+            if self.reallocation_interval is None
+            else self.reallocation_interval,
+            self.reallocation_threshold,
+        )
         if self.reallocation_algorithm not in ("standard", "cancellation"):
             raise ValueError(
                 "reallocation_algorithm must be 'standard' or 'cancellation', "
                 f"got {self.reallocation_algorithm!r}"
             )
-        if self.reallocation_threshold < 0:
+        if self.reallocation_heuristic not in HEURISTIC_NAMES:
             raise ValueError(
-                f"reallocation_threshold must be >= 0, got {self.reallocation_threshold}"
+                f"unknown reallocation_heuristic {self.reallocation_heuristic!r}; "
+                f"expected one of {HEURISTIC_NAMES}"
             )
 
 

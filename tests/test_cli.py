@@ -480,3 +480,16 @@ class TestProfileEngineOption:
                 "campaign", "status", "--sweep", "threshold-grid",
                 "--profile-engine", "linked-list", "--store", str(tmp_path),
             ])
+
+
+class TestServiceSettings:
+    @pytest.mark.parametrize("command", ["serve", "bombard"])
+    @pytest.mark.parametrize("flags", [
+        ["--reallocation-interval", "-1"],
+        ["--reallocation-interval", "nan"],
+        ["--reallocation-threshold", "inf"],
+        ["--reallocation-heuristic", "bogus"],
+    ])
+    def test_bad_setting_exits_with_usage_error(self, command, flags):
+        with pytest.raises(SystemExit, match="^repro: error: "):
+            main([command, "--clock", "virtual", *flags])

@@ -4,9 +4,9 @@ The acceptance property of the vectorised selection path: on any candidate
 set, ``Heuristic.select_index`` over an
 :class:`~repro.core.estimation.EstimateMatrix` must pick the same job —
 including the (submit_time, job_id) tie-breaks — as the object-based
-``Heuristic.select`` over the corresponding :class:`JobEstimate` list, for
-all six heuristics, across a full selection drain (the alive set shrinking
-one candidate per step).  Randomized inputs deliberately include duplicate
+reference ``select`` of ``tests/oracles/heuristics.py`` over the
+corresponding ``JobEstimate`` list, for all six heuristics, across a full
+selection drain (the alive set shrinking one candidate per step).  Randomized inputs deliberately include duplicate
 keys, all-``inf`` rows, candidates that fit nowhere, saturated clusters
 (fit but ``inf`` ECT) and single-cluster platforms.
 """
@@ -20,11 +20,10 @@ import numpy as np
 import pytest
 
 from repro.core.estimation import EstimateMatrix
-from repro.core.heuristics import (
-    HEURISTIC_NAMES,
-    JobEstimate,
-    get_heuristic,
-)
+from repro.core.heuristics import HEURISTIC_NAMES, get_heuristic
+from repro.grid.reallocation import ReallocationEngine
+from oracles.heuristics import JobEstimate, select
+from oracles.reallocation import estimate_of
 from tests.conftest import make_job
 
 #: ECT values drawn with replacement — small pool forces key collisions so
@@ -86,7 +85,7 @@ class TestDifferentialSelection:
             estimates, matrix = random_candidates(rng, clusters, rng.randint(1, 40))
             remaining = {est.job.job_id: est for est in estimates}
             while remaining:
-                expected = heuristic.select(list(remaining.values()))
+                expected = select(heuristic, list(remaining.values()))
                 row = heuristic.select_index(matrix)
                 assert matrix.job_id_at(row) == expected.job.job_id, (
                     f"{heuristic_name} diverged on trial {trial} with "
@@ -110,7 +109,7 @@ class TestDifferentialSelection:
                 est.job.job_id, est.job.submit_time, est.job.procs,
                 est.ects, est.current_cluster, est.current_ect,
             )
-        expected = heuristic.select(estimates)
+        expected = select(heuristic, estimates)
         assert matrix.job_id_at(heuristic.select_index(matrix)) == expected.job.job_id
 
     @pytest.mark.parametrize("heuristic_name", HEURISTIC_NAMES)
@@ -130,7 +129,7 @@ class TestDifferentialSelection:
                 est.ects, est.current_cluster, est.current_ect,
             )
         chosen = matrix.job_id_at(heuristic.select_index(matrix))
-        assert chosen == heuristic.select(estimates).job.job_id == 2
+        assert chosen == select(heuristic, estimates).job.job_id == 2
 
     def test_empty_selection_raises(self):
         matrix = EstimateMatrix(("a",))
@@ -144,7 +143,7 @@ class TestDifferentialSelection:
 
 
 class TestDerivedVectors:
-    """The matrix reductions replicate the JobEstimate property semantics."""
+    """The matrix reductions replicate the oracle's JobEstimate properties."""
 
     @pytest.mark.parametrize("clusters", [("a",), ("a", "b"), ("a", "b", "c")])
     def test_derived_quantities_match_scalar_properties(self, clusters):
@@ -283,10 +282,9 @@ class TestMatrixMechanics:
 
 
 class TestTableStalePrune:
-    """_EstimateTable.refresh_clusters prunes entries for jobs that stop fitting."""
+    """refresh_clusters prunes entries for jobs that stop fitting."""
 
     def test_refresh_prunes_no_longer_fitting_cluster(self, kernel):
-        from repro.grid.reallocation import _EstimateTable
         from tests.conftest import make_server
 
         alpha = make_server(kernel, "alpha", procs=8)
@@ -294,21 +292,20 @@ class TestTableStalePrune:
         beta.submit(make_job(100, procs=8, runtime=1000.0))  # pins the cluster
         job = make_job(1, procs=4)
         beta.submit(job)
-        table = _EstimateTable([alpha, beta])
+        table = ReallocationEngine([alpha, beta])
         table.add_cancelled_many([job], {1: "beta"})
-        assert set(table.estimate_of(1).ects) == {"alpha", "beta"}
+        assert set(estimate_of(table, 1).ects) == {"alpha", "beta"}
 
         # The job stops fitting on alpha (a capacity change degrades the
         # cluster below the request); the refresh must stale-prune alpha's
         # entry instead of keeping the outdated ECT.
         alpha.cluster.apply_capacity(2, kernel.now)
         table.refresh_clusters({"alpha"})
-        estimate = table.estimate_of(1)
+        estimate = estimate_of(table, 1)
         assert set(estimate.ects) == {"beta"}
         assert estimate.best_cluster == "beta"
 
     def test_refresh_degrades_current_ect_of_pruned_origin(self, kernel):
-        from repro.grid.reallocation import _EstimateTable
         from tests.conftest import make_server
 
         alpha = make_server(kernel, "alpha", procs=8)
@@ -317,19 +314,19 @@ class TestTableStalePrune:
         job = make_job(1, procs=4)
         beta.submit(job)
         beta.cancel(job)
-        table = _EstimateTable([alpha, beta])
+        table = ReallocationEngine([alpha, beta])
         table.add_cancelled_many([job], {1: "beta"})
-        assert math.isfinite(table.estimate_of(1).current_ect)
+        assert math.isfinite(estimate_of(table, 1).current_ect)
 
         beta.apply_capacity_change(0)
         table.refresh_clusters({"beta"})
-        estimate = table.estimate_of(1)
+        estimate = estimate_of(table, 1)
         assert set(estimate.ects) == {"alpha"}
         assert estimate.current_ect == math.inf  # resubmitting there is impossible
 
 
 def _per_row_refresh(table, cluster_names):
-    """``_EstimateTable.refresh_clusters`` written one row at a time."""
+    """``ReallocationEngine.refresh_clusters`` written one row at a time."""
     from repro.batch.job import JobState
 
     matrix = table.matrix
@@ -370,7 +367,6 @@ class TestRefreshMatchesPerRowReference:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_worlds(self, seed):
-        from repro.grid.reallocation import _EstimateTable
         from repro.sim.kernel import SimulationKernel
         from tests.conftest import make_server
 
@@ -399,7 +395,7 @@ class TestRefreshMatchesPerRowReference:
         still_waiting = [job for job in waiting if job not in cancelled and job.state.name == "WAITING"]
 
         def build():
-            table = _EstimateTable(servers)
+            table = ReallocationEngine(servers)
             table.add_waiting_many([
                 (job, next(s for s in servers if s.name == job.cluster).planned_completion(job))
                 for job in still_waiting
@@ -438,7 +434,6 @@ class TestColumnMaskingRoundTrip:
     """Masked columns re-enter cleanly: mask -> refresh -> unmask."""
 
     def test_outage_masks_and_recovery_unmasks_the_column(self, kernel):
-        from repro.grid.reallocation import _EstimateTable
         from tests.conftest import make_server
 
         alpha = make_server(kernel, "alpha", procs=8)
@@ -446,9 +441,9 @@ class TestColumnMaskingRoundTrip:
         # Algorithm-2 style candidates: cancelled from beta, clusters idle,
         # so the pre-outage estimates must reappear exactly on recovery.
         jobs = [make_job(i, procs=2 + i, runtime=100.0) for i in range(3)]
-        table = _EstimateTable([alpha, beta])
+        table = ReallocationEngine([alpha, beta])
         table.add_cancelled_many(jobs, {job.job_id: "beta" for job in jobs})
-        before = {job.job_id: table.estimate_of(job.job_id).ects for job in jobs}
+        before = {job.job_id: estimate_of(table, job.job_id).ects for job in jobs}
         assert all(set(ects) == {"alpha", "beta"} for ects in before.values())
 
         # Mask: beta goes down, its whole column disappears from the
@@ -457,7 +452,7 @@ class TestColumnMaskingRoundTrip:
         table.refresh_clusters({"beta"})
         masked_rows = [table.matrix.row_of(job.job_id) for job in jobs]
         for job, row in zip(jobs, masked_rows):
-            estimate = table.estimate_of(job.job_id)
+            estimate = estimate_of(table, job.job_id)
             assert set(estimate.ects) == {"alpha"}
             assert estimate.current_ect == math.inf
             assert not table.matrix._fits[row, table.matrix.col_index["beta"]]
@@ -468,6 +463,6 @@ class TestColumnMaskingRoundTrip:
         beta.apply_capacity_change(8)
         table.refresh_clusters({"beta"})
         for job in jobs:
-            estimate = table.estimate_of(job.job_id)
+            estimate = estimate_of(table, job.job_id)
             assert estimate.ects == before[job.job_id]
             assert estimate.current_ect == before[job.job_id]["beta"]

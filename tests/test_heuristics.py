@@ -1,4 +1,4 @@
-"""Tests for the six rescheduling heuristics and JobEstimate."""
+"""Tests for the six rescheduling heuristics, through the object-based oracle."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.core.heuristics import (
     HEURISTIC_LABELS,
     HEURISTIC_NAMES,
     Heuristic,
-    JobEstimate,
     MaxGain,
     MaxMin,
     MaxRelGain,
@@ -19,6 +18,7 @@ from repro.core.heuristics import (
     Sufferage,
     get_heuristic,
 )
+from oracles.heuristics import JobEstimate, order, select
 from tests.conftest import make_job
 
 
@@ -91,7 +91,7 @@ class TestHeuristicSelection:
             estimate(2, submit=10.0),
             estimate(3, submit=20.0),
         ]
-        assert MctOrder().select(candidates).job.job_id == 2
+        assert select(MctOrder(), candidates).job.job_id == 2
 
     def test_mct_is_online(self):
         assert MctOrder().online is True
@@ -103,7 +103,7 @@ class TestHeuristicSelection:
             estimate(2, ects={"a": 100.0, "b": 400.0}),
             estimate(3, ects={"a": 250.0, "b": 250.0}),
         ]
-        assert MinMin().select(candidates).job.job_id == 2
+        assert select(MinMin(), candidates).job.job_id == 2
 
     def test_maxmin_selects_largest_best_ect(self):
         candidates = [
@@ -111,7 +111,7 @@ class TestHeuristicSelection:
             estimate(2, ects={"a": 100.0, "b": 400.0}),
             estimate(3, ects={"a": 250.0, "b": 260.0}),
         ]
-        assert MaxMin().select(candidates).job.job_id == 3
+        assert select(MaxMin(), candidates).job.job_id == 3
 
     def test_maxgain_selects_largest_gain(self):
         candidates = [
@@ -119,7 +119,7 @@ class TestHeuristicSelection:
             estimate(2, current_ect=300.0, ects={"a": 300.0, "b": 50.0}),   # gain 250
             estimate(3, current_ect=900.0, ects={"a": 900.0, "b": 880.0}),  # gain 20
         ]
-        assert MaxGain().select(candidates).job.job_id == 2
+        assert select(MaxGain(), candidates).job.job_id == 2
 
     def test_maxrelgain_prefers_small_jobs(self):
         candidates = [
@@ -128,9 +128,9 @@ class TestHeuristicSelection:
             # absolute gain 100 on a single processor -> 100 per proc
             estimate(2, procs=1, current_ect=300.0, ects={"a": 300.0, "b": 200.0}),
         ]
-        assert MaxRelGain().select(candidates).job.job_id == 2
+        assert select(MaxRelGain(), candidates).job.job_id == 2
         # MaxGain would pick the other one
-        assert MaxGain().select(candidates).job.job_id == 1
+        assert select(MaxGain(), candidates).job.job_id == 1
 
     def test_sufferage_selects_most_penalised(self):
         candidates = [
@@ -138,7 +138,7 @@ class TestHeuristicSelection:
             estimate(2, ects={"a": 100.0, "b": 500.0}),   # sufferage 400
             estimate(3, ects={"a": 100.0, "b": 150.0}),   # sufferage 50
         ]
-        assert Sufferage().select(candidates).job.job_id == 2
+        assert select(Sufferage(), candidates).job.job_id == 2
 
     def test_tie_break_by_submit_time_then_id(self):
         candidates = [
@@ -146,14 +146,14 @@ class TestHeuristicSelection:
             estimate(2, submit=10.0, ects={"a": 100.0}),
             estimate(7, submit=5.0, ects={"a": 100.0}),
         ]
-        assert MinMin().select(candidates).job.job_id == 7
+        assert select(MinMin(), candidates).job.job_id == 7
         no_seven = [c for c in candidates if c.job.job_id != 7]
-        assert MinMin().select(no_seven).job.job_id == 2
+        assert select(MinMin(), no_seven).job.job_id == 2
 
     def test_empty_candidates_raise(self):
         for name in HEURISTIC_NAMES:
             with pytest.raises(ValueError):
-                get_heuristic(name).select([])
+                select(get_heuristic(name), [])
 
     def test_order_returns_full_ranking(self):
         candidates = [
@@ -161,7 +161,7 @@ class TestHeuristicSelection:
             estimate(2, ects={"a": 100.0}),
             estimate(3, ects={"a": 200.0}),
         ]
-        ranked = MinMin().order(candidates)
+        ranked = order(MinMin(), candidates)
         assert [c.job.job_id for c in ranked] == [2, 3, 1]
 
     def test_select_is_first_of_order(self):
@@ -172,7 +172,7 @@ class TestHeuristicSelection:
         ]
         for name in HEURISTIC_NAMES:
             heuristic = get_heuristic(name)
-            assert heuristic.select(candidates) is heuristic.order(candidates)[0]
+            assert select(heuristic, candidates) is order(heuristic, candidates)[0]
 
 
 class TestRegistry:

@@ -10,9 +10,10 @@ import pytest
 
 from repro.batch.job import JobState
 from repro.batch.jobtable import JobTable
-from repro.core.metrics import compare_runs, compare_runs_reference, compare_tables
+from repro.core.metrics import compare_runs, compare_tables
 from repro.core.results import JobRecord, RunResult
 from repro.workload.swf import iter_swf
+from oracles.metrics import compare_runs_reference
 from tests.conftest import make_job
 from tests.test_workload_swf import swf_line
 

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.batch.job import JobState
+from repro.experiments.config import ExperimentConfig
 from repro.grid.reallocation import (
     DEFAULT_PERIOD,
     DEFAULT_THRESHOLD,
     ReallocationAgent,
     ReallocationAlgorithm,
 )
+from repro.service.service import ServiceConfig
 from repro.sim.events import EventType
+from repro.sim.kernel import SimulationKernel
 from tests.conftest import make_job, make_server
 
 
@@ -170,31 +175,6 @@ class TestAlgorithm2:
         assert job_a.state is JobState.COMPLETED
         assert job_b.state is JobState.COMPLETED
 
-    def test_single_pass_table_build_matches_reference(self, kernel):
-        # add_cancelled must materialise exactly the estimates of the
-        # historical build (pre-computed origin ECT + per-cluster add).
-        from repro.grid.reallocation import _EstimateTable
-
-        s1, s2, job_a, job_b = self.build(kernel)
-        servers = [s1, s2]
-        by_name = {server.name: server for server in servers}
-        cancelled = []
-        for job in (job_a, job_b):
-            origin = job.cluster
-            by_name[origin].cancel(job)
-            cancelled.append((job, origin))
-
-        reference = _EstimateTable(servers)
-        single_pass = _EstimateTable(servers)
-        for job, origin in cancelled:
-            reference.add(job, origin, by_name[origin].estimate_completion(job))
-            single_pass.add_cancelled(job, origin)
-        job_ids = [job.job_id for job, _ in cancelled]
-        for left, right in zip(reference.estimates(job_ids), single_pass.estimates(job_ids)):
-            assert left.current_cluster == right.current_cluster
-            assert left.current_ect == right.current_ect
-            assert left.ects == right.ects
-
 
 class TestTickScheduling:
     def test_first_tick_one_period_after_first_submission(self, kernel):
@@ -236,15 +216,44 @@ class TestTickScheduling:
         assert event.event_type is EventType.REALLOCATION
 
 
+def _agent(period, threshold):
+    kernel = SimulationKernel()
+    return ReallocationAgent(kernel, [make_server(kernel)], period=period, threshold=threshold)
+
+
+#: Every constructor taking a reallocation period and threshold; all three
+#: share ``repro.grid.reallocation.check_timing``.
+TIMED = {
+    "agent": _agent,
+    "service": lambda period, threshold: ServiceConfig(
+        reallocation_interval=period, reallocation_threshold=threshold
+    ),
+    "experiment": lambda period, threshold: ExperimentConfig(
+        "jan", algorithm="standard",
+        reallocation_period=period, reallocation_threshold=threshold,
+    ),
+}
+
+
+class TestTimingValidation:
+    @pytest.mark.parametrize("owner", sorted(TIMED))
+    @pytest.mark.parametrize("period", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_period(self, owner, period):
+        with pytest.raises(ValueError, match="period"):
+            TIMED[owner](period, DEFAULT_THRESHOLD)
+
+    @pytest.mark.parametrize("owner", sorted(TIMED))
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_threshold(self, owner, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            TIMED[owner](DEFAULT_PERIOD, threshold)
+
+    @pytest.mark.parametrize("owner", sorted(TIMED))
+    def test_accepts_zero_threshold(self, owner):
+        TIMED[owner](DEFAULT_PERIOD, 0.0)
+
+
 class TestValidation:
-    def test_invalid_period(self, kernel):
-        with pytest.raises(ValueError):
-            ReallocationAgent(kernel, [make_server(kernel)], period=0.0)
-
-    def test_invalid_threshold(self, kernel):
-        with pytest.raises(ValueError):
-            ReallocationAgent(kernel, [make_server(kernel)], threshold=-1.0)
-
     def test_requires_servers(self, kernel):
         with pytest.raises(ValueError):
             ReallocationAgent(kernel, [])

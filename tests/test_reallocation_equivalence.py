@@ -17,10 +17,11 @@ import pytest
 
 from repro.batch.job import Job, JobState
 from repro.batch.server import BatchServer
-from repro.core.heuristics import JobEstimate, get_heuristic
+from repro.core.heuristics import get_heuristic
 from repro.grid.metascheduler import MetaScheduler
 from repro.grid.reallocation import ReallocationAgent
 from repro.sim.kernel import SimulationKernel
+from oracles.heuristics import JobEstimate, select
 
 CLUSTERS = (("one", 8, 1.0), ("two", 6, 1.3), ("three", 4, 1.6))
 
@@ -74,7 +75,7 @@ def naive_algorithm1(servers, heuristic_name, threshold=60.0):
                            by_name[job.cluster].planned_completion(job))
             for job in remaining
         ]
-        chosen = heuristic.select(candidates)
+        chosen = select(heuristic, candidates)
         job = chosen.job
         target = chosen.best_other_cluster
         if (
@@ -112,7 +113,7 @@ def naive_algorithm2(servers, heuristic_name):
             )
             for job in remaining
         ]
-        chosen = heuristic.select(candidates)
+        chosen = select(heuristic, candidates)
         job = chosen.job
         target = chosen.best_cluster or previous[job.job_id]
         by_name[target].submit(job)
@@ -132,7 +133,7 @@ def waiting_assignment(servers):
     return assignment
 
 
-HEURISTICS = ("mct", "minmin", "maxgain", "sufferage")
+HEURISTICS = ("mct", "minmin", "maxmin", "maxgain", "maxrelgain", "sufferage")
 SEEDS = (3, 17)
 
 

@@ -3,10 +3,10 @@
 The :class:`~repro.grid.reallocation.ReallocationEngine` keeps the ECT
 matrix alive across ticks and only re-queries dirty clusters; the claim is
 that this is *float-identical* to rebuilding the table from scratch at
-every tick (``ReallocationAgent(incremental=False)``, the historical
-path).  These tests drive randomized scripts of submissions, completions
+every tick (``RebuildAgent`` of ``tests/oracles/reallocation.py``).
+These tests drive randomized scripts of submissions, completions
 (time advances), user cancellations and capacity changes interleaved with
-reallocation ticks through two mirrored worlds — one incremental agent,
+reallocation ticks through two mirrored worlds — one production agent,
 one rebuild agent — and assert the selected jobs, target clusters and
 cancellation sets never diverge, for both heuristic families, both
 algorithms, and dynamic (outage-script) platforms.
@@ -25,9 +25,10 @@ import pytest
 
 from repro.batch.job import Job
 from repro.batch.server import BatchServer
-from repro.grid.reallocation import ReallocationAgent, _EstimateTable
+from repro.grid.reallocation import ReallocationAgent, ReallocationEngine
 from repro.platform.timeline import AvailabilityTimeline
 from repro.sim.kernel import SimulationKernel
+from oracles.reallocation import RebuildAgent
 
 CLUSTERS = (("ash", 8, 1.0, "fcfs"), ("birch", 6, 1.3, "cbf"), ("cedar", 4, 1.6, "fcfs"))
 
@@ -128,7 +129,7 @@ def waiting_assignment(servers):
     return assignment
 
 
-HEURISTICS = ("mct", "minmin", "maxgain", "sufferage")
+HEURISTICS = ("mct", "minmin", "maxmin", "maxgain", "maxrelgain", "sufferage")
 SEEDS = (7, 23, 61)
 
 
@@ -139,15 +140,10 @@ SEEDS = (7, 23, 61)
 def test_engine_matches_rebuild_across_ticks(algorithm, heuristic, dynamic, seed):
     script = make_script(seed)
     worlds = []
-    for incremental in (True, False):
+    for agent_class in (ReallocationAgent, RebuildAgent):
         kernel, servers = build_world(dynamic)
-        agent = ReallocationAgent(
-            kernel,
-            servers,
-            heuristic=heuristic,
-            algorithm=algorithm,
-            threshold=30.0,
-            incremental=incremental,
+        agent = agent_class(
+            kernel, servers, heuristic=heuristic, algorithm=algorithm, threshold=30.0
         )
         worlds.append((ScriptRunner(servers, kernel), agent))
     (run_inc, agent_inc), (run_ref, agent_ref) = worlds
@@ -194,7 +190,7 @@ def test_sync_is_float_identical_to_fresh_build(dynamic, seed):
             lambda job: by_name[job.cluster].planned_completion(job),
             kernel.now,
         )
-        fresh = _EstimateTable(servers)
+        fresh = ReallocationEngine(servers)
         fresh.add_waiting_many(
             [(job, by_name[job.cluster].planned_completion(job)) for job in snapshot]
         )
@@ -238,17 +234,10 @@ def test_compaction_keeps_decisions_identical():
     """Dead rows are garbage-collected without disturbing the cache."""
     script = make_script(97, ops=80)
     worlds = []
-    for incremental in (True, False):
+    for agent_class in (ReallocationAgent, RebuildAgent):
         kernel, servers = build_world(dynamic=False)
-        agent = ReallocationAgent(
-            kernel,
-            servers,
-            heuristic="mct",
-            algorithm="cancellation",
-            incremental=incremental,
-        )
-        if incremental:
-            agent.engine._GARBAGE_SLACK = 0  # compact eagerly
+        agent = agent_class(kernel, servers, heuristic="mct", algorithm="cancellation")
+        agent.engine._GARBAGE_SLACK = 0  # compact eagerly
         worlds.append((ScriptRunner(servers, kernel), agent))
     (run_inc, agent_inc), (run_ref, agent_ref) = worlds
     for op in script:

@@ -456,9 +456,8 @@ class TestReallocationHeartbeat:
         assert service.reallocation_ticks == 0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(reallocation_interval=0.0)
+        # Interval and threshold: tests/test_reallocation.py::TestTimingValidation.
         with pytest.raises(ValueError):
             ServiceConfig(reallocation_algorithm="nope")
-        with pytest.raises(ValueError):
-            ServiceConfig(reallocation_threshold=-1.0)
+        with pytest.raises(ValueError, match="bogus"):
+            ServiceConfig(reallocation_heuristic="bogus")
