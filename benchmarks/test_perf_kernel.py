@@ -2,7 +2,8 @@
 
 Schedules N no-op events at integer-second pseudo-random times (the shape
 of an SWF trace: many ties, span ~N seconds) and drains the kernel to
-exhaustion, once per queue backend, at 10⁵ and 10⁶ events.  Fill
+exhaustion, on the production calendar queue and on the binary-heap
+oracle (``tests/oracles/queues.py``), at 10⁵ and 10⁶ events.  Fill
 (scheduling) and drain (the event loop) are timed separately: a heap pop
 at depth 10⁶ runs ~2·log₂(n) ≈ 40 Python-level comparisons while the
 calendar queue touches O(1) entries per pop, so the algorithmic gap lives
@@ -42,7 +43,8 @@ from perfutil import env_scales, gc_disabled, publish_report, speedup as wall_sp
 from repro.batch.job import Job
 from repro.batch.jobtable import JobTable
 from repro.sim.events import Event
-from repro.sim.kernel import SimulationKernel
+
+from oracles.queues import QUEUES
 
 #: Scheduled-event counts measured by default.
 DEFAULT_SCALES = (100_000, 1_000_000)
@@ -50,7 +52,7 @@ DEFAULT_SCALES = (100_000, 1_000_000)
 MIN_SPEEDUP = 3.0
 #: ... asserted only at scales at least this large.
 SPEEDUP_FLOOR_SCALE = 1_000_000
-#: Timed repetitions per backend and scale (best-of, against noisy runners).
+#: Timed repetitions per queue and scale (best-of, against noisy runners).
 REPETITIONS = 2
 #: Event count of the (untimed) firing-order differential sanity check.
 DIFFERENTIAL_EVENTS = 20_000
@@ -81,7 +83,7 @@ def run_fill_drain(queue_kind: str, times: list) -> tuple:
     Returns ``(fill_s, drain_s, fired, now)``.  GC is off for both timed
     sections (see the module docstring) and restored before returning.
     """
-    kernel = SimulationKernel(queue=queue_kind)
+    kernel = QUEUES[queue_kind]()
     schedule_at = kernel.schedule_at
     with gc_disabled():
         started = time.perf_counter()
@@ -95,7 +97,7 @@ def run_fill_drain(queue_kind: str, times: list) -> tuple:
 
 def firing_order_digest(queue_kind: str, times: list) -> list:
     """Exact (label, now) firing log of a kernel over the given schedule."""
-    kernel = SimulationKernel(queue=queue_kind)
+    kernel = QUEUES[queue_kind]()
     log = []
 
     def fire(label):

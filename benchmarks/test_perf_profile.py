@@ -15,13 +15,14 @@ over a submit loop — while the array engine answers each query with a
 handful of vectorised passes.  FCFS is the mirror image: tail placements
 visit O(1) segments on either engine, so the fixed per-call overhead of
 the NumPy primitives dominates and the *list* engine wins.  That is why
-``resolve_profile_engine`` picks the engine per policy (``auto``), and
-what this benchmark gates: per policy, the recorded ``speedup`` is the
+:class:`~repro.batch.cluster.ClusterState` picks the engine per policy,
+and what this benchmark gates: per policy, the recorded ``speedup`` is the
 wall-clock of the *alternative* engine over the *selected* one — CBF
 asserts array ≥ ``MIN_SPEEDUP``× faster than list at depth ≥ 10⁴, FCFS
 asserts the selected list engine is no slower than the array engine
-(floor ``FCFS_MIN_SPEEDUP`` = 1.0, i.e. auto-selection never regresses
-FCFS submit throughput).
+(floor ``FCFS_MIN_SPEEDUP`` = 1.0, i.e. the policy rule never regresses
+FCFS submit throughput).  Each engine is forced onto the cluster with
+the ``oracles.profiles`` test helpers.
 
 Timings are published as ``BENCH_profile.json`` at the repository root
 (uploaded as a CI artifact); the recorded ``array_submits_per_s`` at
@@ -44,14 +45,16 @@ from perfutil import env_scales, gc_disabled, publish_report, speedup as wall_sp
 
 from repro.batch.cluster import ClusterState
 from repro.batch.job import Job
-from repro.batch.policies import BatchPolicy, IncrementalPlanner, resolve_profile_engine
+from repro.batch.policies import BatchPolicy, IncrementalPlanner
+
+from oracles.profiles import cluster_on
 
 #: Queue depths measured by default (the floor is asserted at 10⁴).
 DEFAULT_DEPTHS = (1_000, 10_000)
 #: Required alternative/selected wall-clock ratio for the CBF workload
 #: (selected: array) ...
 MIN_SPEEDUP = 3.0
-#: ... and for the FCFS workload (selected: list; 1.0 = "auto-selection
+#: ... and for the FCFS workload (selected: list; 1.0 = "the policy rule
 #: picked an engine at least as fast as the alternative") ...
 FCFS_MIN_SPEEDUP = 1.0
 #: ... both asserted only at queue depths at least this large.
@@ -100,7 +103,7 @@ def bench_workload(depth: int):
 
 def run_engine(engine: str, policy: BatchPolicy, blockers, waiting, churn, probes):
     """One full workload on one engine; returns (sections, plan, estimates)."""
-    cluster = ClusterState("bench", TOTAL_PROCS, 1.0, profile_engine=engine)
+    cluster = cluster_on(engine, "bench", TOTAL_PROCS, 1.0)
     for job in blockers:
         cluster.start_job(job, start_time=0.0)
     planner = IncrementalPlanner(policy, cluster)
@@ -181,7 +184,7 @@ def test_availability_engine_speedup():
                 "list oracle"
             )
 
-            selected = resolve_profile_engine("auto", policy)
+            selected = ClusterState("bench", TOTAL_PROCS, 1.0, policy).profile_engine
             if selected == "array":
                 speedup = wall_speedup(
                     list_sections["total_s"], array_sections["total_s"]

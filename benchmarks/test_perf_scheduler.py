@@ -6,7 +6,7 @@ and completion-estimate storms — through two planning engines:
 
 * **reference** — the historical behaviour: every event invalidates the
   plan and the whole waiting queue is replanned from a freshly built
-  availability profile (``plan_fcfs_reference`` / ``plan_cbf_reference``);
+  availability profile (``plan_fcfs`` / ``plan_cbf``);
 * **incremental** — the :class:`~repro.batch.policies.IncrementalPlanner`
   used by the batch server since the event-driven refactor: suffix-only
   replanning over a live residual profile.
@@ -24,14 +24,10 @@ import random
 
 from perfutil import best_of, publish_report, speedup as wall_speedup
 
-from repro.batch.cluster import ClusterState
 from repro.batch.job import Job
-from repro.batch.policies import (
-    BatchPolicy,
-    IncrementalPlanner,
-    plan_cbf_reference,
-    plan_fcfs_reference,
-)
+from repro.batch.policies import BatchPolicy, IncrementalPlanner, plan_cbf, plan_fcfs
+
+from oracles.profiles import cluster_on
 
 #: Waiting jobs in the benchmark queue (the acceptance floor is depth 200).
 QUEUE_DEPTH = 220
@@ -46,8 +42,8 @@ TOTAL_PROCS = 64
 BENCH_SEED = 20100326
 
 _REFERENCE_PLANNERS = {
-    BatchPolicy.FCFS: plan_fcfs_reference,
-    BatchPolicy.CBF: plan_cbf_reference,
+    BatchPolicy.FCFS: plan_fcfs,
+    BatchPolicy.CBF: plan_cbf,
 }
 
 
@@ -82,7 +78,7 @@ def make_cluster(blockers):
     # (suffix-only) replanning against from-scratch replanning on the same
     # profile implementation.  The array-vs-list engine comparison has its
     # own benchmark (test_perf_profile.py) at the depths where it matters.
-    cluster = ClusterState("bench", TOTAL_PROCS, 1.0, profile_engine="list")
+    cluster = cluster_on("list", "bench", TOTAL_PROCS, 1.0)
     for job in blockers:
         cluster.start_job(job, start_time=0.0)
     return cluster

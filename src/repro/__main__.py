@@ -62,7 +62,6 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.benchcheck import collect_checks, failed_checks, render_checks
-from repro.batch.arrayprofile import DEFAULT_PROFILE_ENGINE, PROFILE_ENGINES
 from repro.experiments.campaign import (
     CAMPAIGN_NAMES,
     campaign_configs,
@@ -151,12 +150,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         "--fresh", action="store_true",
         help="ignore stored results: re-simulate and refresh the store")
     parser.add_argument(
-        "--profile-engine", choices=PROFILE_ENGINES,
-        default=DEFAULT_PROFILE_ENGINE, metavar="{auto,array,list}",
-        help="availability-profile engine of every cluster (default "
-             "%(default)s; the engines are float-identical, 'list' keeps "
-             "the historical oracle reachable end-to-end)")
-    parser.add_argument(
         "--verbose", action="store_true", help="print one line per simulation")
 
 
@@ -200,11 +193,6 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
         "--backpressure", choices=("reject", "await"), default="reject",
         help="policy while backpressure is engaged: refuse submissions or "
              "make awaiting submitters wait (default %(default)s)")
-    parser.add_argument(
-        "--profile-engine", choices=PROFILE_ENGINES,
-        default=DEFAULT_PROFILE_ENGINE, metavar="{auto,array,list}",
-        help="availability-profile engine of every cluster "
-             "(default %(default)s)")
     parser.add_argument(
         "--reallocation-interval", type=float, default=None, metavar="S",
         help="run a reallocation tick every S service-clock seconds "
@@ -462,8 +450,7 @@ def _sweep(runner: ExperimentRunner, args: argparse.Namespace,
     if key not in cache:
         cache[key] = runner.sweep(
             SweepConfig(algorithm=algorithm, heterogeneous=heterogeneous,
-                        target_jobs=_target_jobs(args),
-                        profile_engine=args.profile_engine),
+                        target_jobs=_target_jobs(args)),
             fresh=args.fresh,
         )
     return cache[key]
@@ -538,8 +525,7 @@ def _cmd_full_trace_preset(args: argparse.Namespace) -> int:
         for algorithm, heterogeneous in groups:
             sweep = runner.sweep(
                 SweepConfig(algorithm=algorithm, heterogeneous=heterogeneous,
-                            target_jobs=target,
-                            profile_engine=args.profile_engine),
+                            target_jobs=target),
                 fresh=True,
             )
             cells += len(sweep.metrics)
@@ -564,8 +550,7 @@ def _cmd_campaign_sweep(args: argparse.Namespace) -> int:
     if args.name is None:
         raise SystemExit("repro: error: campaign sweep needs a sweep name "
                          "(or --list to see the choices)")
-    spec = get_sweep(args.name, target_jobs=args.target_jobs,
-                     profile_engine=args.profile_engine)
+    spec = get_sweep(args.name, target_jobs=args.target_jobs)
     configs = spec.configs()
     started = time.perf_counter()
     conflicts = takeovers = 0
@@ -648,8 +633,7 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
             "repro: error: campaign worker is single-process by design; "
             "start several `campaign worker` processes instead"
         )
-    spec = get_sweep(args.sweep, target_jobs=args.target_jobs,
-                     profile_engine=args.profile_engine)
+    spec = get_sweep(args.sweep, target_jobs=args.target_jobs)
     store = _open_store(args)
     units = plan_units(spec.configs())
     progress = None
@@ -672,8 +656,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
         raise SystemExit(
             "repro: error: campaign status reads a shared store (drop --no-store)"
         )
-    spec = get_sweep(args.sweep, target_jobs=args.target_jobs,
-                     profile_engine=args.profile_engine)
+    spec = get_sweep(args.sweep, target_jobs=args.target_jobs)
     store = _open_store(args)
     units = plan_units(spec.configs())
     status = sweep_status(units, store, stale_after=args.stale_after)
@@ -828,7 +811,6 @@ def _build_service(args: argparse.Namespace) -> MetaSchedulerService:
             clock=args.clock,
             clock_rate=args.clock_rate,
             config=config,
-            profile_engine=args.profile_engine,
         )
     except ValueError as exc:
         raise SystemExit(f"repro: error: {exc}")

@@ -31,9 +31,7 @@ from repro.batch.policies import (
     PlanningPolicy,
     get_policy,
     plan_cbf,
-    plan_cbf_reference,
     plan_fcfs,
-    plan_fcfs_reference,
 )
 from repro.batch.profile import AvailabilityProfile, ProfileError
 from repro.batch.schedule import ClusterPlan, IncrementalPlan, PlannedJob
@@ -57,7 +55,5 @@ __all__ = [
     "RunningJob",
     "get_policy",
     "plan_cbf",
-    "plan_cbf_reference",
     "plan_fcfs",
-    "plan_fcfs_reference",
 ]

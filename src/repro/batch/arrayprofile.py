@@ -20,11 +20,7 @@ primitives instead of Python loops:
   one pass — union the breakpoints, sample the old step function, apply
   the interval deltas with a cumulative sum — which turns the planner's
   suffix restoration from O(suffix x breakpoints) into O(suffix +
-  breakpoints);
-* :meth:`ArrayProfile.checkpoint` / :meth:`ArrayProfile.rollback`
-  snapshot and restore the array prefix, so a caller can mutate the live
-  profile transiently (e.g. reconstructing the profile *before* a queue
-  position) and return to the exact prior state.
+  breakpoints).
 
 Float identity with the list engine is a hard requirement (the paper
 tables must not move by a bit): free counts are integers, breakpoint
@@ -35,11 +31,8 @@ randomized differential suite (``tests/test_array_profile.py``) asserts
 exact equality of breakpoints, planned starts and estimates between the
 two engines; the list profile remains the oracle.
 
-:func:`make_profile` is the engine factory used by
-:class:`~repro.batch.cluster.ClusterState`; the ``--profile-engine
-{auto,array,list}`` escape hatch of the CLI reaches it end-to-end
-(``auto``, the default, picks the engine per scheduling policy — see
-:func:`repro.batch.policies.resolve_profile_engine`).
+Which engine a cluster runs is decided by its scheduling policy, in
+:class:`~repro.batch.cluster.ClusterState`.
 """
 
 from __future__ import annotations
@@ -49,18 +42,7 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.batch.profile import AvailabilityProfile, ProfileError
-
-#: Valid engine names of :func:`make_profile` (first entry is the default).
-PROFILE_ENGINES: Tuple[str, ...] = ("auto", "array", "list")
-
-#: Default engine of every cluster.  ``"auto"`` selects per policy —
-#: ``list`` for FCFS (tail appends, where per-call NumPy overhead loses to
-#: plain Python lists), ``array`` otherwise — via
-#: :func:`repro.batch.policies.resolve_profile_engine`; both concrete
-#: engines stay reachable through the ``--profile-engine`` escape hatch
-#: and the list engine remains the differential oracle.
-DEFAULT_PROFILE_ENGINE = "auto"
+from repro.batch.profile import ProfileError
 
 #: Initial breakpoint capacity of a fresh profile (doubles on demand).
 _INITIAL_CAPACITY = 16
@@ -75,11 +57,11 @@ _SCALAR_SEGMENTS = 48
 class ArrayProfile:
     """Step function of free processors over time, stored columnar.
 
-    Drop-in behavioural twin of :class:`AvailabilityProfile` (same
+    Drop-in behavioural twin of :class:`AvailabilityProfile`: same
     constructor, same methods, same error messages, float-identical
-    results), plus the bulk operations documented in the module
-    docstring.  ``_times``/``_free`` are capacity-doubling arrays whose
-    first ``_size`` entries are live.
+    results; the bulk operations documented in the module docstring are
+    vectorised here.  ``_times``/``_free`` are capacity-doubling arrays
+    whose first ``_size`` entries are live.
     """
 
     __slots__ = ("total_procs", "_times", "_free", "_size")
@@ -125,34 +107,6 @@ class ArrayProfile:
         # ``end`` falls inside it (the list engine seeds its scan there).
         i_end = max(int(times.searchsorted(end, side="left")), i_start + 1)
         return int(self._free[i_start:i_end].min())
-
-    def min_free_over_many(
-        self, starts: Sequence[float], ends: Sequence[float]
-    ) -> List[int]:
-        """Minimum free processors over each ``[start, end)`` interval.
-
-        The segment ranges of every query are resolved with two batched
-        ``searchsorted`` calls; each minimum is then one C-level reduction
-        over a contiguous slice.
-        """
-        if len(starts) != len(ends):
-            raise ValueError("starts and ends must have the same length")
-        if not starts:
-            return []
-        n = self._size
-        times = self._times[:n]
-        free = self._free[:n]
-        starts_arr = np.maximum(np.asarray(starts, dtype=np.float64), times[0])
-        ends_arr = np.asarray(ends, dtype=np.float64)
-        lo = np.searchsorted(times, starts_arr, side="right") - 1
-        hi = np.maximum(np.searchsorted(times, ends_arr, side="left"), lo + 1)
-        out: List[int] = []
-        for start, end, i_start, i_end in zip(starts, ends, lo, hi):
-            if end <= start:
-                out.append(self.free_at(start))
-            else:
-                out.append(int(free[i_start:i_end].min()))
-        return out
 
     # ------------------------------------------------------------------ #
     # Storage management                                                 #
@@ -415,30 +369,6 @@ class ArrayProfile:
         self._size = m
 
     # ------------------------------------------------------------------ #
-    # Snapshot / restore                                                 #
-    # ------------------------------------------------------------------ #
-    def checkpoint(self) -> Tuple[int, np.ndarray, np.ndarray]:
-        """Snapshot of the current state (capacity + live array slices).
-
-        The returned value is opaque; hand it back to :meth:`rollback` to
-        restore the profile bit-for-bit.  Cost is one copy of the live
-        prefix — O(breakpoints), independent of whatever is mutated in
-        between.
-        """
-        n = self._size
-        return (self.total_procs, self._times[:n].copy(), self._free[:n].copy())
-
-    def rollback(self, state: Tuple[int, np.ndarray, np.ndarray]) -> None:
-        """Restore a state captured by :meth:`checkpoint` (in place)."""
-        total_procs, times, free = state
-        m = times.shape[0]
-        self._reserve(m)
-        self._times[:m] = times
-        self._free[:m] = free
-        self._size = m
-        self.total_procs = total_procs
-
-    # ------------------------------------------------------------------ #
     # Planning queries                                                   #
     # ------------------------------------------------------------------ #
     def earliest_slot(self, procs: int, duration: float, earliest: float) -> float:
@@ -592,15 +522,6 @@ class ArrayProfile:
                     out[position] = float(candidates[k])
         return out
 
-    def reserve(self, procs: int, duration: float, earliest: float) -> float:
-        """Find the earliest slot and subtract the reservation; return its start."""
-        start = self.earliest_slot(procs, duration, earliest)
-        if not math.isfinite(start):
-            return start
-        if duration > 0:
-            self.subtract(start, start + duration, procs)
-        return start
-
     # ------------------------------------------------------------------ #
     # Construction helpers                                               #
     # ------------------------------------------------------------------ #
@@ -614,25 +535,6 @@ class ArrayProfile:
         clone._size = n
         return clone
 
-    @classmethod
-    def from_reservations(
-        cls,
-        total_procs: int,
-        start_time: float,
-        reservations: Iterable[Tuple[float, float, int]],
-    ) -> "ArrayProfile":
-        """Build a profile from ``(start, end, procs)`` reservations.
-
-        Reservations ending at or before ``start_time`` are skipped, as in
-        the list engine.
-        """
-        profile = cls(total_procs, start_time)
-        for start, end, procs in reservations:
-            if end <= start_time:
-                continue
-            profile.subtract(max(start, start_time), end, procs)
-        return profile
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         n = self._size
         points = ", ".join(
@@ -640,24 +542,3 @@ class ArrayProfile:
         )
         return f"ArrayProfile(cap={self.total_procs}, [{points}])"
 
-
-def make_profile(
-    engine: str, total_procs: int, start_time: float = 0.0
-) -> "ArrayProfile | AvailabilityProfile":
-    """Build an availability profile with the requested engine.
-
-    ``"array"`` is the columnar engine above; ``"list"`` is the historical
-    :class:`AvailabilityProfile`, kept as the differential oracle and
-    reachable end-to-end through ``--profile-engine list``.  ``"auto"``
-    falls back to the array engine here: policy-aware selection happens in
-    :func:`repro.batch.policies.resolve_profile_engine` before the factory
-    is reached, so this branch only serves callers building a profile with
-    no policy in sight.
-    """
-    if engine in ("array", "auto"):
-        return ArrayProfile(total_procs, start_time)
-    if engine == "list":
-        return AvailabilityProfile(total_procs, start_time)
-    raise ValueError(
-        f"unknown profile engine {engine!r}; expected one of {PROFILE_ENGINES}"
-    )

@@ -1,9 +1,10 @@
 """Cluster resource state.
 
 :class:`ClusterState` tracks the processors of one cluster and the jobs
-currently running on it.  It knows nothing about queues or policies; the
+currently running on it.  It knows nothing about queues; the
 :class:`~repro.batch.server.BatchServer` combines it with a waiting queue
-and a planning policy.
+and a planning policy.  The policy only picks the engine of the live
+availability profile (see :class:`ClusterState`).
 
 The cluster also owns the *live* availability profile of its running set:
 :meth:`ClusterState.start_job` reserves the job's walltime window in the
@@ -29,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
-from repro.batch.arrayprofile import DEFAULT_PROFILE_ENGINE, make_profile
+from repro.batch.arrayprofile import ArrayProfile
 from repro.batch.job import Job
+from repro.batch.policies import BatchPolicy
 from repro.batch.profile import AvailabilityProfile
 
 
@@ -65,14 +67,18 @@ class ClusterState:
     speed:
         Relative speed factor; 1.0 is the reference (slowest) cluster.
         Runtimes and walltimes are divided by this factor.
-    profile_engine:
-        Engine of the live availability profile: ``"array"`` (columnar
-        NumPy) or ``"list"`` (the historical breakpoint lists, kept as
-        the differential oracle); ``"auto"`` falls back to ``"array"``
-        here — callers that know the scheduling policy resolve it first
-        via :func:`~repro.batch.policies.resolve_profile_engine`.  Both
-        engines are float-identical; :meth:`build_profile` always uses
-        the list engine, since it *is* the oracle.
+    policy:
+        Local scheduling policy of the cluster, which picks the engine of
+        the live availability profile: FCFS places every job at the queue
+        tail, where the per-call overhead of the NumPy primitives loses to
+        plain lists, so it gets the list
+        :class:`~repro.batch.profile.AvailabilityProfile`; every other
+        policy gets the columnar
+        :class:`~repro.batch.arrayprofile.ArrayProfile`.  The engines are
+        float-identical (the differential suite holds them to exact
+        equality), so the choice never moves a result by a bit;
+        :meth:`build_profile` always uses the list engine, since it *is*
+        the oracle.
     """
 
     def __init__(
@@ -80,7 +86,7 @@ class ClusterState:
         name: str,
         total_procs: int,
         speed: float = 1.0,
-        profile_engine: str = DEFAULT_PROFILE_ENGINE,
+        policy: BatchPolicy = BatchPolicy.CBF,
     ) -> None:
         if total_procs <= 0:
             raise ValueError(f"cluster {name}: total_procs must be positive, got {total_procs}")
@@ -89,13 +95,18 @@ class ClusterState:
         self.name = name
         self.total_procs = int(total_procs)
         self.speed = float(speed)
-        self.profile_engine = profile_engine
         #: currently available processors (== total_procs on static platforms)
         self.capacity = int(total_procs)
         self._running: Dict[int, RunningJob] = {}
         # Live availability profile of the running set, updated in place by
         # start_job/finish_job and advanced lazily by availability().
-        self._profile = make_profile(profile_engine, self.total_procs, start_time=0.0)
+        engine = AvailabilityProfile if policy is BatchPolicy.FCFS else ArrayProfile
+        self._profile = engine(self.total_procs, start_time=0.0)
+
+    @property
+    def profile_engine(self) -> str:
+        """Engine of the live profile: ``"list"`` or ``"array"``."""
+        return "array" if isinstance(self._profile, ArrayProfile) else "list"
 
     # ------------------------------------------------------------------ #
     # Running set                                                        #
@@ -230,8 +241,7 @@ class ClusterState:
     def availability(self, now: float):
         """Live availability profile advanced to ``now`` (returned as a copy).
 
-        The concrete type follows :attr:`profile_engine`
-        (:class:`~repro.batch.arrayprofile.ArrayProfile` by default).
+        The concrete type is the engine named by :attr:`profile_engine`.
 
         The live profile is maintained incrementally by
         :meth:`start_job`/:meth:`finish_job` (and by capacity changes);

@@ -15,8 +15,7 @@ earlier-queued job.  The difference is where the reservation may be placed:
 
 Planning comes in two equivalent flavours:
 
-* the *reference* planners :func:`plan_fcfs` / :func:`plan_cbf` (also
-  exported as :data:`plan_fcfs_reference` / :data:`plan_cbf_reference`) —
+* the *reference* planners :func:`plan_fcfs` / :func:`plan_cbf` —
   pure functions from ``(profile, queue, speed, now)`` to a
   :class:`~repro.batch.schedule.ClusterPlan`, rebuilding the whole plan;
 * the :class:`IncrementalPlanner` — the event-driven engine used by the
@@ -30,12 +29,14 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, Iterable, List, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, List, Protocol, Sequence
 
-from repro.batch.cluster import ClusterState
 from repro.batch.job import Job
 from repro.batch.profile import AvailabilityProfile
 from repro.batch.schedule import ClusterPlan, IncrementalPlan, PlannedJob
+
+if TYPE_CHECKING:  # the cluster module imports BatchPolicy from here
+    from repro.batch.cluster import ClusterState
 
 
 class BatchPolicy(enum.Enum):
@@ -46,24 +47,6 @@ class BatchPolicy(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value.upper()
-
-
-def resolve_profile_engine(engine: str, policy: BatchPolicy) -> str:
-    """Concrete availability-profile engine for ``policy``.
-
-    Resolves the ``"auto"`` default: FCFS gets the ``list`` engine —
-    its placements are tail appends, where the per-call overhead of the
-    NumPy primitives loses to plain Python lists (the regression the
-    profile benchmark gates) — every other policy gets ``array``.
-    Explicit engine names pass through untouched, so the
-    ``--profile-engine`` escape hatch still forces either engine
-    end-to-end.  The two engines are float-identical (the differential
-    suite holds them to exact equality), so auto-selection never moves a
-    table by a bit.
-    """
-    if engine != "auto":
-        return engine
-    return "list" if policy is BatchPolicy.FCFS else "array"
 
 
 class PlanningPolicy(Protocol):
@@ -142,13 +125,6 @@ def plan_cbf(
     never delay one (conservative).
     """
     return _plan(profile, queue, speed, now, cluster_name, keep_queue_order=False)
-
-
-#: From-scratch planners kept under explicit names: they are the oracle the
-#: incremental engine is differentially tested against, and the "before"
-#: side of the scheduler microbenchmark.
-plan_fcfs_reference = plan_fcfs
-plan_cbf_reference = plan_cbf
 
 
 _POLICIES: dict[BatchPolicy, PlanningPolicy] = {
@@ -249,12 +225,12 @@ class IncrementalPlanner:
         A job already waiting here reports its planned completion; any
         other job is placed *hypothetically* at the end of the queue
         (respecting the FCFS frontier when the policy keeps queue order)
-        against the live residual profile, which is never mutated.  On the
-        array engine the hypothetical placements go through one
-        :meth:`~repro.batch.arrayprofile.ArrayProfile.earliest_slot_many`
-        call — the open-run structure of the residual is built once per
-        distinct processor count instead of once per job — with results
-        float-identical to per-job ``earliest_slot`` queries.  The
+        against the live residual profile, which is never mutated.  The
+        hypothetical placements go through one ``earliest_slot_many``
+        call — on the array engine the open-run structure of the residual
+        is built once per distinct processor count instead of once per
+        job — with results float-identical to per-job ``earliest_slot``
+        queries.  The
         whole-queue plan lookup is only materialised when a queried job
         is waiting here, and a lone hypothetical placement takes the
         scalar ``earliest_slot``.
@@ -278,7 +254,7 @@ class IncrementalPlanner:
         if not pending:
             return estimates
         earliest = self.frontier() if self.keep_queue_order else self.plan.now
-        if len(pending) > 1 and hasattr(residual, "earliest_slot_many"):
+        if len(pending) > 1:
             starts = residual.earliest_slot_many(
                 [procs for _, procs, _ in pending],
                 [duration for _, _, duration in pending],

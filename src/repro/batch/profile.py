@@ -14,16 +14,22 @@ breakpoint extends to infinity.  Profiles support two usage styles:
 * *live* profiles owned by :class:`~repro.batch.cluster.ClusterState` and
   the incremental planner, updated in place as jobs start and finish:
   :meth:`AvailabilityProfile.advance` drops past breakpoints when
-  simulated time moves forward, :meth:`AvailabilityProfile.release` gives
-  processors back (clamped to the live left edge, coalescing redundant
-  breakpoints) and :meth:`AvailabilityProfile.reserve` takes them.
+  simulated time moves forward and :meth:`AvailabilityProfile.release`
+  gives processors back (clamped to the live left edge, coalescing
+  redundant breakpoints).
+
+The columnar :class:`~repro.batch.arrayprofile.ArrayProfile` has the same
+method set, float-identical results; the bulk methods
+(:meth:`~AvailabilityProfile.earliest_slot_many`,
+:meth:`~AvailabilityProfile.release_many`) are plain loops here and
+vectorised there.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 
 class ProfileError(ValueError):
@@ -141,6 +147,15 @@ class AvailabilityProfile:
                     f"{self.total_procs}"
                 )
             self._free[i] = new_value
+
+    def release_many(self, reservations: Iterable[Tuple[float, float, int]]) -> None:
+        """Give a whole set of ``(start, end, procs)`` reservations back at once.
+
+        :meth:`add` per reservation, then one :meth:`compact`.
+        """
+        for start, end, procs in reservations:
+            self.add(start, end, procs)
+        self.compact()
 
     # ------------------------------------------------------------------ #
     # Live-profile maintenance                                           #
@@ -300,14 +315,16 @@ class AvailabilityProfile:
                 # Blocking segment was the final (infinite) one.
                 return math.inf
 
-    def reserve(self, procs: int, duration: float, earliest: float) -> float:
-        """Find the earliest slot and subtract the reservation; return its start."""
-        start = self.earliest_slot(procs, duration, earliest)
-        if not math.isfinite(start):
-            return start
-        if duration > 0:
-            self.subtract(start, start + duration, procs)
-        return start
+    def earliest_slot_many(
+        self, procs: Sequence[int], durations: Sequence[float], earliest: float
+    ) -> List[float]:
+        """:meth:`earliest_slot` for each ``(procs, duration)`` query."""
+        if len(procs) != len(durations):
+            raise ValueError("procs and durations must have the same length")
+        return [
+            self.earliest_slot(p, duration, earliest)
+            for p, duration in zip(procs, durations)
+        ]
 
     # ------------------------------------------------------------------ #
     # Construction helpers                                               #
@@ -319,26 +336,6 @@ class AvailabilityProfile:
         clone._times = list(self._times)
         clone._free = list(self._free)
         return clone
-
-    @classmethod
-    def from_reservations(
-        cls,
-        total_procs: int,
-        start_time: float,
-        reservations: Iterable[Tuple[float, float, int]],
-    ) -> "AvailabilityProfile":
-        """Build a profile from ``(start, end, procs)`` reservations.
-
-        Reservations that end at or before ``start_time`` lie entirely in
-        the past and are skipped (they carry no information about the
-        availability from ``start_time`` on).
-        """
-        profile = cls(total_procs, start_time)
-        for start, end, procs in reservations:
-            if end <= start_time:
-                continue
-            profile.subtract(max(start, start_time), end, procs)
-        return profile
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         points = ", ".join(f"({t:.0f}:{f})" for t, f in zip(self._times, self._free))

@@ -112,10 +112,10 @@ class IncrementalPlan:
     The **dirty-suffix invariant** ties the two together: at every queue
     position ``k``, the profile the reference planner would see before
     placing job ``k`` equals ``residual`` plus the reservations of entries
-    ``k..end`` (:meth:`residual_before`).  Suffix replanning is therefore
-    exact: :meth:`restore_suffix` adds those reservations back and
-    truncates, after which placements continue as if the prefix had just
-    been planned from scratch.
+    ``k..end``.  Suffix replanning is therefore exact:
+    :meth:`restore_suffix` adds those reservations back and truncates,
+    after which placements continue as if the prefix had just been
+    planned from scratch.
     """
 
     __slots__ = ("cluster_name", "now", "entries", "residual", "_cached_plan", "_frontier")
@@ -157,34 +157,6 @@ class IncrementalPlan:
                     frontier = entry.planned_start
             self._frontier = frontier
         return self._frontier
-
-    def residual_before(self, index: int) -> AvailabilityProfile:
-        """Profile a planner would see before placing queue position ``index``.
-
-        Reconstructed as a copy (the live residual is observably untouched).
-        On the array engine the suffix reservations are released in bulk on
-        the live residual under a checkpoint and the mutation rolled back —
-        O(suffix + breakpoints) instead of copy-and-replay; the list engine
-        keeps the historical per-entry replay.
-        """
-        residual = self.residual
-        suffix = [
-            (entry.planned_start, entry.planned_end, entry.procs)
-            for entry in self.entries[index:]
-            if entry.is_feasible()
-        ]
-        if hasattr(residual, "checkpoint"):
-            state = residual.checkpoint()
-            try:
-                residual.release_many(suffix)
-                return residual.copy()
-            finally:
-                residual.rollback(state)
-        profile = residual.copy()
-        for start, end, procs in suffix:
-            profile.add(start, end, procs)
-        profile.compact()
-        return profile
 
     # ------------------------------------------------------------------ #
     # Mutation                                                           #
@@ -243,12 +215,7 @@ class IncrementalPlan:
             if entry.is_feasible()
         ]
         del entries[index:]
-        if hasattr(self.residual, "release_many"):
-            self.residual.release_many(suffix)
-        else:
-            for start, end, procs in suffix:
-                self.residual.add(start, end, procs)
-            self.residual.compact()
+        self.residual.release_many(suffix)
         self._invalidate()
 
     def splice(

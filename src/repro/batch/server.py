@@ -45,10 +45,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from repro.batch.arrayprofile import DEFAULT_PROFILE_ENGINE
 from repro.batch.cluster import ClusterState, RunningJob
 from repro.batch.job import Job, JobState
-from repro.batch.policies import BatchPolicy, IncrementalPlanner, resolve_profile_engine
+from repro.batch.policies import BatchPolicy, IncrementalPlanner
 from repro.batch.schedule import ClusterPlan
 from repro.platform.timeline import AvailabilityTimeline
 from repro.sim.events import Event, EventType
@@ -89,12 +88,6 @@ class BatchServer:
     on_outage_kill:
         Optional callback invoked as ``on_outage_kill(job)`` for every job
         killed (and requeued) by a capacity shrink.
-    profile_engine:
-        Availability-profile engine of the cluster (``"auto"``, the
-        default, resolves per policy via
-        :func:`~repro.batch.policies.resolve_profile_engine`; ``"array"``
-        and ``"list"`` force an engine); see
-        :class:`~repro.batch.cluster.ClusterState`.
     """
 
     def __init__(
@@ -108,18 +101,12 @@ class BatchServer:
         on_start: Optional[Callable[[Job], None]] = None,
         timeline: Optional[AvailabilityTimeline] = None,
         on_outage_kill: Optional[Callable[[Job], None]] = None,
-        profile_engine: str = DEFAULT_PROFILE_ENGINE,
     ) -> None:
         self.kernel = kernel
         if isinstance(policy, str):
             policy = BatchPolicy(policy.lower())
         self.policy = policy
-        self.cluster = ClusterState(
-            name,
-            total_procs,
-            speed,
-            profile_engine=resolve_profile_engine(profile_engine, policy),
-        )
+        self.cluster = ClusterState(name, total_procs, speed, policy)
         self._planner = IncrementalPlanner(policy, self.cluster)
         self.on_completion = on_completion
         self.on_start = on_start

@@ -170,7 +170,6 @@ def execute_config(
         reallocation_period=config.reallocation_period,
         reallocation_threshold=config.reallocation_threshold,
         mapping_seed=config.seed,
-        profile_engine=config.profile_engine,
     )
     result = simulation.run()
     result.metadata["scenario"] = config.scenario

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 if TYPE_CHECKING:  # runtime import would be circular (sweeps -> config)
     from repro.experiments.sweeps import SweepSpec
 
-from repro.batch.arrayprofile import DEFAULT_PROFILE_ENGINE, PROFILE_ENGINES
 from repro.core.heuristics import HEURISTIC_NAMES
 from repro.grid.reallocation import check_timing
 from repro.workload.failures import OUTAGE_SCRIPT_NAMES
@@ -103,14 +102,6 @@ class ExperimentConfig:
         script.  The script's windows are placed relative to the
         scenario's scaled trace duration, and its stochastic variants
         draw from the run's ``seed``.
-    profile_engine:
-        Availability-profile engine of every cluster: ``"auto"`` (the
-        default — per-policy selection via
-        :func:`repro.batch.policies.resolve_profile_engine`),
-        ``"array"`` (columnar NumPy) or ``"list"`` (the historical
-        breakpoint lists, kept as the differential oracle).  The engines
-        are float-identical, so this knob never changes a result — it is
-        an escape hatch and a verification tool, not an axis.
     """
 
     scenario: str
@@ -124,7 +115,6 @@ class ExperimentConfig:
     reallocation_threshold: float = 60.0
     mapping_policy: str = "mct"
     outage_script: Optional[str] = None
-    profile_engine: str = DEFAULT_PROFILE_ENGINE
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIO_NAMES:
@@ -155,11 +145,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown outage script {self.outage_script!r}; "
                 f"expected None or one of {OUTAGE_SCRIPT_NAMES}"
-            )
-        if self.profile_engine not in PROFILE_ENGINES:
-            raise ValueError(
-                f"unknown profile engine {self.profile_engine!r}; "
-                f"expected one of {PROFILE_ENGINES}"
             )
 
     @property
@@ -202,22 +187,22 @@ class ExperimentConfig:
         influences the simulation outcome.  ``outage_script`` is omitted
         while ``None`` so every static configuration keeps the exact
         canonical form (and store key) it had before dynamic platforms
-        existed — warm stores stay warm.  ``profile_engine`` is omitted
-        while it equals the default for the same reason — and since the
-        engines are float-identical, the result documents are
-        interchangeable anyway; only an explicit engine request is
-        recorded.
+        existed — warm stores stay warm.
         """
         data = asdict(self)
         if data["outage_script"] is None:
             del data["outage_script"]
-        if data["profile_engine"] == DEFAULT_PROFILE_ENGINE:
-            del data["profile_engine"]
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
-        """Inverse of :meth:`to_dict` (re-validates via ``__post_init__``)."""
+        """Inverse of :meth:`to_dict` (re-validates via ``__post_init__``).
+
+        Keys the configuration does not have are ignored — notably the
+        ``profile_engine`` that older versions recorded for an explicit
+        engine request, whatever its value: the engines are
+        float-identical and the engine now follows the batch policy.
+        """
         return cls(
             scenario=data["scenario"],
             heterogeneous=bool(data["heterogeneous"]),
@@ -230,7 +215,6 @@ class ExperimentConfig:
             reallocation_threshold=float(data["reallocation_threshold"]),
             mapping_policy=data["mapping_policy"],
             outage_script=data.get("outage_script"),
-            profile_engine=data.get("profile_engine", DEFAULT_PROFILE_ENGINE),
         )
 
     def label(self) -> str:
@@ -265,17 +249,11 @@ class SweepConfig:
     reallocation_period: float = 3600.0
     reallocation_threshold: float = 60.0
     mapping_policy: str = "mct"
-    profile_engine: str = DEFAULT_PROFILE_ENGINE
 
     def __post_init__(self) -> None:
         if self.algorithm not in ("standard", "cancellation"):
             raise ValueError(
                 f"algorithm must be 'standard' or 'cancellation', got {self.algorithm!r}"
-            )
-        if self.profile_engine not in PROFILE_ENGINES:
-            raise ValueError(
-                f"unknown profile engine {self.profile_engine!r}; "
-                f"expected one of {PROFILE_ENGINES}"
             )
 
     def to_spec(self) -> "SweepSpec":
@@ -300,7 +278,6 @@ class SweepConfig:
             mapping_policies=(self.mapping_policy,),
             target_jobs=self.target_jobs,
             seed=self.seed,
-            profile_engine=self.profile_engine,
         )
 
     def configs(self) -> list[ExperimentConfig]:

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.batch.arrayprofile import DEFAULT_PROFILE_ENGINE, PROFILE_ENGINES
 from repro.core.heuristics import HEURISTIC_NAMES
 from repro.experiments.config import (
     BATCH_POLICIES,
@@ -102,12 +101,6 @@ class SweepSpec:
         per-scenario scale factors, and therefore the config keys).
     seed:
         Workload generation seed shared by every cell.
-    profile_engine:
-        Availability-profile engine shared by every cell (``"auto"``
-        resolves per batch policy, or an explicit ``"array"`` /
-        ``"list"``).  Not an axis: the engines are float-identical, so
-        gridding over them would simulate every cell twice for byte-equal
-        results.
     """
 
     name: str
@@ -124,7 +117,6 @@ class SweepSpec:
     trace_fractions: Tuple[float, ...] = (1.0,)
     target_jobs: int = DEFAULT_BENCH_TARGET_JOBS
     seed: int = 20100326
-    profile_engine: str = DEFAULT_PROFILE_ENGINE
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -150,11 +142,6 @@ class SweepSpec:
                 raise ValueError(f"reallocation thresholds must be >= 0, got {threshold}")
         if self.target_jobs <= 0:
             raise ValueError(f"target_jobs must be positive, got {self.target_jobs}")
-        if self.profile_engine not in PROFILE_ENGINES:
-            raise ValueError(
-                f"unknown profile engine {self.profile_engine!r}; "
-                f"expected one of {PROFILE_ENGINES}"
-            )
 
     # ------------------------------------------------------------------ #
     # Expansion                                                          #
@@ -213,7 +200,6 @@ class SweepSpec:
                                                     reallocation_threshold=threshold,
                                                     mapping_policy=mapping,
                                                     outage_script=outage,
-                                                    profile_engine=self.profile_engine,
                                                 )
                                                 coords = {
                                                     "scenario": scenario,
@@ -344,16 +330,8 @@ SWEEP_REGISTRY: Dict[str, SweepSpec] = _builtin_sweeps()
 SWEEP_NAMES: Tuple[str, ...] = tuple(sorted(SWEEP_REGISTRY))
 
 
-def get_sweep(
-    name: str,
-    target_jobs: Optional[int] = None,
-    profile_engine: Optional[str] = None,
-) -> SweepSpec:
-    """Look up a built-in sweep, optionally rescaled to ``target_jobs``.
-
-    ``profile_engine`` overrides the availability-profile engine of every
-    cell (the CLI's ``--profile-engine`` escape hatch).
-    """
+def get_sweep(name: str, target_jobs: Optional[int] = None) -> SweepSpec:
+    """Look up a built-in sweep, optionally rescaled to ``target_jobs``."""
     try:
         spec = SWEEP_REGISTRY[name]
     except KeyError as exc:
@@ -361,6 +339,4 @@ def get_sweep(
         raise ValueError(f"unknown sweep {name!r}; expected one of {valid}") from exc
     if target_jobs is not None and target_jobs != spec.target_jobs:
         spec = replace(spec, target_jobs=target_jobs)
-    if profile_engine is not None and profile_engine != spec.profile_engine:
-        spec = replace(spec, profile_engine=profile_engine)
     return spec

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.batch.arrayprofile import DEFAULT_PROFILE_ENGINE
 from repro.batch.job import Job
 from repro.batch.policies import BatchPolicy
 from repro.batch.server import BatchServer
@@ -69,15 +68,6 @@ class GridSimulation:
     record_events:
         When true, an :class:`EventTrace` is attached to the kernel and
         exposed as :attr:`event_trace`.
-    kernel_queue:
-        Event-queue backend of the kernel (``"heap"`` or ``"calendar"``);
-        both fire the identical event sequence, so results are
-        byte-identical either way.
-    profile_engine:
-        Availability-profile engine of every cluster (``"auto"``
-        resolves per batch policy, or an explicit ``"array"`` /
-        ``"list"``); the engines are float-identical, so results are
-        byte-identical either way.
     """
 
     def __init__(
@@ -92,8 +82,6 @@ class GridSimulation:
         reallocation_threshold: float = DEFAULT_THRESHOLD,
         mapping_seed: int = 0,
         record_events: bool = False,
-        kernel_queue: str = "heap",
-        profile_engine: str = DEFAULT_PROFILE_ENGINE,
     ) -> None:
         self.platform = platform
         self.jobs: List[Job] = list(jobs)
@@ -112,10 +100,9 @@ class GridSimulation:
         self.reallocation_period = reallocation_period
         self.reallocation_threshold = reallocation_threshold
         self.mapping_seed = mapping_seed
-        self.profile_engine = profile_engine
 
         self.event_trace: Optional[EventTrace] = EventTrace() if record_events else None
-        self.kernel = SimulationKernel(trace=self.event_trace, queue=kernel_queue)
+        self.kernel = SimulationKernel(trace=self.event_trace)
         self.servers: List[BatchServer] = [
             BatchServer(
                 self.kernel,
@@ -125,7 +112,6 @@ class GridSimulation:
                 policy=self.batch_policy,
                 on_completion=self._on_completion,
                 timeline=spec.timeline,
-                profile_engine=profile_engine,
             )
             for spec in platform
         ]

@@ -45,7 +45,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence
 
-from repro.batch.arrayprofile import DEFAULT_PROFILE_ENGINE
 from repro.batch.job import Job, JobState
 from repro.batch.server import BatchServer, BatchServerError
 from repro.core.heuristics import HEURISTIC_NAMES
@@ -245,8 +244,6 @@ class MetaSchedulerService:
         Simulated seconds per wall second in real mode.
     config:
         :class:`ServiceConfig` tunables.
-    kernel_queue / profile_engine:
-        Passed through to the kernel and the batch servers.
     """
 
     def __init__(
@@ -257,12 +254,10 @@ class MetaSchedulerService:
         clock: "Clock | str" = "virtual",
         clock_rate: float = 1.0,
         config: Optional[ServiceConfig] = None,
-        kernel_queue: str = "calendar",
-        profile_engine: str = DEFAULT_PROFILE_ENGINE,
     ) -> None:
         self.platform = platform
         self.config = config if config is not None else ServiceConfig()
-        self.kernel = SimulationKernel(queue=kernel_queue)
+        self.kernel = SimulationKernel()
         if isinstance(clock, Clock):
             if clock.kernel is not self.kernel:  # pragma: no cover - defensive
                 raise ValueError("a prebuilt clock must share the service kernel")
@@ -278,7 +273,6 @@ class MetaSchedulerService:
                 policy=batch_policy,
                 on_completion=self._on_job_completion,
                 timeline=spec.timeline,
-                profile_engine=profile_engine,
             )
             for spec in platform
         ]

@@ -7,11 +7,8 @@ simulation engine:
 * :class:`~repro.sim.kernel.SimulationKernel` — the event loop with a
   simulated clock, one-shot and periodic event scheduling, and run-until
   semantics.
-* :class:`~repro.sim.queues.HeapEventQueue` /
-  :class:`~repro.sim.queues.CalendarQueue` — the two interchangeable
-  event-queue backends (``SimulationKernel(queue="heap"|"calendar")``);
-  the calendar queue is the O(1)-amortised choice for million-event
-  trace replays.
+* :class:`~repro.sim.queues.CalendarQueue` — the kernel's event queue,
+  O(1) amortised so million-event trace replays stay fast.
 * :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.EventType`
   — the unit of work managed by the kernel.
 * :class:`~repro.sim.trace.EventTrace` — an optional recorder of every
@@ -26,7 +23,7 @@ simulation.
 
 from repro.sim.events import Event, EventType
 from repro.sim.kernel import SimulationError, SimulationKernel
-from repro.sim.queues import CalendarQueue, HeapEventQueue
+from repro.sim.queues import CalendarQueue
 from repro.sim.trace import EventTrace, TraceRecord
 
 __all__ = [
@@ -34,7 +31,6 @@ __all__ = [
     "Event",
     "EventType",
     "EventTrace",
-    "HeapEventQueue",
     "SimulationError",
     "SimulationKernel",
     "TraceRecord",

@@ -15,13 +15,11 @@ Design notes
 * Determinism: events are ordered by ``(time, priority, sequence)``; the
   sequence counter makes insertion order the final tie-breaker, so repeated
   runs of the same scenario produce byte-identical results.
-* The queue backend is selectable: ``queue="heap"`` (default) is the
-  historical binary heap, ``queue="calendar"`` is a bucketed calendar
-  queue with O(1) amortised operations that sustains million-event
-  replays (see :mod:`repro.sim.queues`).  Both enforce the identical
-  total order, so the backends are interchangeable event for event — the
-  differential oracle in ``tests/test_calendar_queue.py`` holds them to
-  it.
+* The event queue is a bucketed calendar queue with O(1) amortised
+  operations that sustains million-event replays (see
+  :mod:`repro.sim.queues`).  It fires events in exactly the order of a
+  binary heap — the differential oracle in
+  ``tests/test_calendar_queue.py`` holds it to one.
 * Cancellation is lazy: cancelled events stay in the queue and are skipped
   when popped, which keeps cancellation O(1) amortised.  The kernel keeps
   an exact live (non-cancelled) event count, and when cancelled entries
@@ -36,7 +34,7 @@ import math
 from typing import Any, Callable, Optional
 
 from repro.sim.events import Event, EventType
-from repro.sim.queues import QUEUE_FACTORIES
+from repro.sim.queues import CalendarQueue
 from repro.sim.trace import EventTrace
 
 
@@ -59,11 +57,6 @@ class SimulationKernel:
         Standard Workload Format are relative to 0, so the default is 0.
     trace:
         Optional :class:`EventTrace` recording every fired event.
-    queue:
-        Event-queue backend: ``"heap"`` (binary heap, the default) or
-        ``"calendar"`` (bucketed calendar queue, O(1) amortised — the
-        choice for million-event replays).  Both produce the identical
-        firing order.
 
     Examples
     --------
@@ -80,18 +73,9 @@ class SimulationKernel:
         self,
         start_time: float = 0.0,
         trace: Optional[EventTrace] = None,
-        queue: str = "heap",
     ) -> None:
-        try:
-            factory = QUEUE_FACTORIES[queue]
-        except KeyError:
-            raise SimulationError(
-                f"unknown queue backend {queue!r}; expected one of "
-                f"{sorted(QUEUE_FACTORIES)}"
-            ) from None
         self._now = float(start_time)
-        self._queue = factory()
-        self.queue_kind = queue
+        self._queue = CalendarQueue()
         self._sequence = 0
         self._running = False
         self._stopped = False
@@ -110,6 +94,11 @@ class SimulationKernel:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
+
+    @property
+    def queue_kind(self) -> str:
+        """Name of the event-queue implementation (always ``"calendar"``)."""
+        return "calendar"
 
     @property
     def pending_events(self) -> int:
@@ -294,7 +283,7 @@ class SimulationKernel:
 
         The total order of events is strict (the sequence counter is
         unique), so compaction cannot change the firing order and
-        determinism is preserved whatever the backend.
+        determinism is preserved.
         """
         self._cancelled_in_queue -= self._queue.compact()
         self.compactions += 1
@@ -302,5 +291,5 @@ class SimulationKernel:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SimulationKernel(now={self._now:.3f}, pending={self._live}, "
-            f"queue={self.queue_kind}:{len(self._queue)})"
+            f"queue={len(self._queue)})"
         )

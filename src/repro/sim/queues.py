@@ -1,36 +1,29 @@
-"""Event-queue backends for the simulation kernel.
+"""The event queue of the simulation kernel.
 
 The kernel is written against a tiny queue interface — ``push``, ``pop``,
-``peek``, ``compact``, ``len()`` — with two implementations:
+``peek``, ``compact``, ``len()`` — implemented by :class:`CalendarQueue`,
+Brown's calendar queue (CACM 1988), the classic O(1)-amortised priority
+queue for discrete-event simulation.  Events are hashed into time buckets
+of a fixed ``width``; dequeue scans forward from the current bucket
+("day") and wraps around the bucket array (a "year") — under the
+uniform-ish event populations of trace replay the next event is almost
+always in the current or next bucket, so both operations touch O(1)
+events regardless of queue size.  The bucket count and width adapt to the
+live population (`_rebuild`) so occupancy stays bounded under growth,
+drain and cancellation storms.
 
-* :class:`HeapEventQueue` — the historical binary heap (``heapq``).  Pops
-  from an *n*-entry heap cost ~2·log₂(n) Python-level ``Event.__lt__``
-  calls, which dominates the kernel at trace scale: at 10⁶ pending events
-  every pop runs ~40 comparisons.
-* :class:`CalendarQueue` — Brown's calendar queue (CACM 1988), the classic
-  O(1)-amortised priority queue for discrete-event simulation.  Events are
-  hashed into time buckets of a fixed ``width``; dequeue scans forward
-  from the current bucket ("day") and wraps around the bucket array (a
-  "year") — under the uniform-ish event populations of trace replay the
-  next event is almost always in the current or next bucket, so both
-  operations touch O(1) events regardless of queue size.  The bucket count
-  and width adapt to the live population (`_rebuild`) so occupancy stays
-  bounded under growth, drain and cancellation storms.
+Events are ordered by the ``(time, priority, sequence)`` total order of
+:class:`~repro.sim.events.Event`, so the firing sequence is exactly the
+one a binary heap would produce (``tests/test_calendar_queue.py`` holds
+the queue to a heap oracle on randomized workloads).
 
-Both backends store the *same* :class:`~repro.sim.events.Event` objects
-and order them by the identical ``(time, priority, sequence)`` total
-order, so the firing sequence of a simulation is byte-identical whichever
-backend is selected (enforced by the randomized differential oracle in
-``tests/test_calendar_queue.py``).
-
-Cancellation stays lazy in both backends: cancelled events remain in the
-structure and are skipped by the kernel when popped; ``compact`` drops
-them in one O(n) pass when the kernel decides they are worth collecting.
+Cancellation is lazy: cancelled events remain in the structure and are
+skipped by the kernel when popped; ``compact`` drops them in one O(n)
+pass when the kernel decides they are worth collecting.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import List, Optional
 
 from repro.sim.events import Event
@@ -43,52 +36,8 @@ MIN_BUCKETS = 8
 DEFAULT_WIDTH = 1.0
 
 
-class HeapEventQueue:
-    """Binary-heap backend: the exact historical kernel behaviour."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: List[Event] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, event)
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the minimum entry (cancelled or not)."""
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)
-
-    def peek(self) -> Optional[Event]:
-        """The minimum entry (cancelled or not) without removing it."""
-        return self._heap[0] if self._heap else None
-
-    def compact(self) -> int:
-        """Drop cancelled entries in one O(n) pass; returns the count.
-
-        The heap invariant is restored by ``heapify``; the total order of
-        events is strict (the sequence counter is unique), so compaction
-        cannot change the firing order and determinism is preserved.
-        """
-        live: List[Event] = []
-        removed = 0
-        for event in self._heap:
-            if event.cancelled:
-                event.popped = True
-                removed += 1
-            else:
-                live.append(event)
-        self._heap = live
-        heapq.heapify(self._heap)
-        return removed
-
-
 class CalendarQueue:
-    """Bucketed calendar-queue backend (O(1) amortised push/pop).
+    """Bucketed calendar queue (O(1) amortised push/pop).
 
     Mechanics
     ---------
@@ -332,9 +281,3 @@ class CalendarQueue:
         self._cur_slot = int(tmin / width) if size else 0
         self.rebuilds += 1
 
-
-#: Queue kinds selectable through ``SimulationKernel(queue=...)``.
-QUEUE_FACTORIES = {
-    "heap": HeapEventQueue,
-    "calendar": CalendarQueue,
-}

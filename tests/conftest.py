@@ -9,15 +9,17 @@ from repro.batch.server import BatchServer
 from repro.platform.spec import ClusterSpec, PlatformSpec
 from repro.sim.kernel import SimulationKernel
 
+from oracles.queues import QUEUES
 
-@pytest.fixture(params=["heap", "calendar"])
+
+@pytest.fixture(params=sorted(QUEUES))
 def kernel(request) -> SimulationKernel:
     """A fresh simulation kernel starting at t=0.
 
-    Parametrised over both event-queue backends so every kernel-facing
-    test exercises the heap and the calendar queue alike.
+    Parametrised over the production calendar queue and the heap oracle,
+    so every kernel-facing test exercises both alike.
     """
-    return SimulationKernel(queue=request.param)
+    return QUEUES[request.param]()
 
 
 @pytest.fixture

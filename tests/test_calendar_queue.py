@@ -1,4 +1,4 @@
-"""Calendar-queue backend: mechanics and the heap differential oracle.
+"""Calendar queue: mechanics and the heap differential oracle.
 
 The calendar queue must be *indistinguishable* from the binary heap at
 the event level: same firing order (down to `(time, priority, sequence)`
@@ -16,8 +16,10 @@ import random
 import pytest
 
 from repro.sim.events import Event, EventType
-from repro.sim.kernel import SimulationError, SimulationKernel
-from repro.sim.queues import MIN_BUCKETS, CalendarQueue, HeapEventQueue
+from repro.sim.kernel import SimulationKernel
+from repro.sim.queues import MIN_BUCKETS, CalendarQueue
+
+from oracles.queues import QUEUES, HeapEventQueue, use_heap
 
 
 def make_event(time, priority=0, sequence=0):
@@ -149,14 +151,21 @@ class TestCalendarQueueMechanics:
         assert queue.peek().time == 1.0
 
 
-class TestKernelQueueSelection:
-    def test_unknown_backend_raises(self):
-        with pytest.raises(SimulationError):
-            SimulationKernel(queue="splay")
+class TestKernelQueue:
+    def test_queue_kind_is_calendar(self):
+        kernel = SimulationKernel()
+        assert kernel.queue_kind == "calendar"
+        assert isinstance(kernel._queue, CalendarQueue)
 
-    def test_queue_kind_exposed(self):
-        assert SimulationKernel().queue_kind == "heap"
-        assert SimulationKernel(queue="calendar").queue_kind == "calendar"
+    def test_queue_kind_is_read_only(self):
+        with pytest.raises(AttributeError):
+            SimulationKernel().queue_kind = "heap"
+
+    def test_heap_swap_requires_a_fresh_kernel(self):
+        kernel = SimulationKernel()
+        kernel.schedule_at(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            use_heap(kernel)
 
 
 # --------------------------------------------------------------------- #
@@ -168,7 +177,7 @@ class ScriptRunner:
     """Replays one random event script against a kernel, logging firings."""
 
     def __init__(self, queue: str):
-        self.kernel = SimulationKernel(queue=queue)
+        self.kernel = QUEUES[queue]()
         self.log = []
         self.live = {}
         self._next_label = 0
@@ -302,7 +311,8 @@ class TestGridDifferential:
                 batch_policy=policy,
                 reallocation="standard",
                 heuristic=heuristic,
-                kernel_queue=backend,
             )
+            if backend == "heap":
+                use_heap(sim.kernel)
             results[backend] = sim.run().to_dict()
         assert results["heap"] == results["calendar"]

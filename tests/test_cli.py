@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import zipfile
+
 import pytest
 
 from repro.__main__ import _default_worker_counts, main
-from repro.experiments.campaign import CAMPAIGN_NAMES, campaign_configs
-from repro.experiments.config import full_trace_target_jobs
+from repro.experiments.campaign import CAMPAIGN_NAMES, campaign_configs, execute_config
+from repro.experiments.config import ExperimentConfig, full_trace_target_jobs
 from repro.store import ResultStore, config_key
 from repro.workload.scenarios import SCENARIO_NAMES, get_scenario
 
@@ -115,6 +118,40 @@ class TestStoreGc:
             "cancellation-homogeneous", target_jobs=TARGET) if c.is_baseline]
         assert remaining == len(baselines)
         assert remaining < before
+
+    def test_legacy_engine_document_loads_and_survives_gc(self, tmp_path, capsys):
+        # Earlier versions could record ``"profile_engine": "list"`` in a
+        # document's config; the engines are float-identical, so such a
+        # document must still load and must not be collected.
+        config = campaign_configs("standard-homogeneous", target_jobs=TARGET)[0]
+        store = ResultStore(tmp_path / "store")
+        path = store.put_result(config, execute_config(config))
+        assert path.suffix == ".npz"
+        with zipfile.ZipFile(path) as archive:
+            members = [(info, archive.read(info)) for info in archive.infolist()]
+        rewritten = path.with_suffix(".tmp")
+        with zipfile.ZipFile(rewritten, "w") as archive:
+            for info, data in members:
+                if info.filename == "header.json":
+                    header = json.loads(data)
+                    header["config"]["profile_engine"] = "list"
+                    data = json.dumps(header, separators=(",", ":")).encode("utf-8")
+                archive.writestr(info, data)
+        rewritten.replace(path)
+
+        code = main([
+            "store", "gc", "--campaign", "standard-homogeneous",
+            "--target-jobs", str(TARGET), "--store", str(store.root),
+        ])
+        assert code == 0
+        assert "1 documents kept, 0 removed" in capsys.readouterr().out
+        with zipfile.ZipFile(path) as archive:
+            header = json.loads(archive.read("header.json"))
+        assert header["config"]["profile_engine"] == "list"
+        assert ExperimentConfig.from_dict(header["config"]) == config
+        loaded = ResultStore(store.root).get_result(config)
+        assert loaded is not None
+        assert loaded.to_dict() == execute_config(config).to_dict()
 
     def test_gc_requires_explicit_target_jobs(self, warm_store):
         # Config keys depend on --target-jobs; defaulting it would silently
@@ -463,23 +500,17 @@ class TestBenchCheck:
         assert "0 regression(s)" in out
 
 
-class TestProfileEngineOption:
-    def test_campaign_status_accepts_engine(self, tmp_path, capsys):
-        store = tmp_path / "store"
-        store.mkdir()
-        code = main([
-            "campaign", "status", "--sweep", "threshold-grid",
-            "--profile-engine", "list", "--store", str(store),
-        ])
-        assert code == 0
-        assert "threshold-grid" in capsys.readouterr().out
-
-    def test_rejects_unknown_engine(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main([
-                "campaign", "status", "--sweep", "threshold-grid",
-                "--profile-engine", "linked-list", "--store", str(tmp_path),
-            ])
+class TestNoProfileEngineOption:
+    # The profile engine follows the batch policy; there is no flag.
+    @pytest.mark.parametrize("command", [
+        ["campaign", "status", "--sweep", "threshold-grid"],
+        ["serve", "--clock", "virtual"],
+    ])
+    def test_flag_is_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--profile-engine", "list"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --profile-engine" in capsys.readouterr().err
 
 
 class TestServiceSettings:

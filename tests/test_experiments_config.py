@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.heuristics import HEURISTIC_NAMES
+from repro.experiments.campaign import plan_units
 from repro.experiments.config import (
     BATCH_POLICIES,
     DEFAULT_BENCH_TARGET_JOBS,
@@ -12,6 +15,8 @@ from repro.experiments.config import (
     SweepConfig,
     bench_scale,
 )
+from repro.experiments.sweeps import get_sweep
+from repro.store import config_key
 from repro.workload.scenarios import SCENARIO_NAMES, get_scenario
 
 
@@ -118,57 +123,69 @@ class TestSweepConfig:
         assert total_realloc + baselines == 364
 
 
-class TestProfileEnginePlumbing:
-    def test_default_engine_omitted_from_dict(self):
-        # Store keys must not move for the default engine: the documents
-        # written before the columnar engine existed stay addressable.
+class TestLegacyProfileEngineKey:
+    """Configurations no longer carry a profile engine (it follows the policy).
+
+    Older versions recorded ``profile_engine`` in ``to_dict`` for an
+    explicit engine request; reading such a document must still work.
+    """
+
+    def test_config_has_no_engine_field(self):
         config = ExperimentConfig(scenario="jan")
-        assert config.profile_engine == "auto"
         assert "profile_engine" not in config.to_dict()
+        assert not hasattr(config, "profile_engine")
 
-    def test_list_engine_round_trips(self):
-        config = ExperimentConfig(scenario="jan", profile_engine="list")
-        data = config.to_dict()
-        assert data["profile_engine"] == "list"
-        assert ExperimentConfig.from_dict(data) == config
+    @pytest.mark.parametrize("value", ["auto", "array", "list", "linked-list", None])
+    def test_from_dict_ignores_legacy_engine(self, value):
+        config = ExperimentConfig(scenario="jan", batch_policy="cbf", algorithm="standard")
+        data = dict(config.to_dict(), profile_engine=value)
+        restored = ExperimentConfig.from_dict(data)
+        assert restored == config
+        assert config_key(restored) == config_key(config)
 
-    def test_from_dict_defaults_to_auto(self):
-        data = ExperimentConfig(scenario="jan").to_dict()
-        assert ExperimentConfig.from_dict(data).profile_engine == "auto"
 
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown profile engine"):
-            ExperimentConfig(scenario="jan", profile_engine="linked-list")
-        with pytest.raises(ValueError, match="unknown profile engine"):
-            SweepConfig(
-                algorithm="standard",
-                heterogeneous=False,
-                profile_engine="linked-list",
-            )
+def _units_digest(configs):
+    """(unit count, SHA-256 over the sorted store keys of every unit)."""
+    keys = sorted(config_key(config) for config in plan_units(configs))
+    return len(keys), hashlib.sha256("\n".join(keys).encode()).hexdigest()
 
-    def test_sweep_config_threads_engine_to_cells(self):
-        sweep = SweepConfig(
-            algorithm="standard",
-            heterogeneous=False,
-            scenarios=("jan",),
-            batch_policies=("fcfs",),
-            heuristics=("mct",),
-            profile_engine="list",
+
+class TestStoreKeysPinned:
+    """Store keys recorded before the profile-engine option was removed.
+
+    Every paper-table unit and every built-in sweep unit must keep its
+    key, so stores filled by earlier versions stay warm.
+    """
+
+    PAPER = {
+        ("standard", False): (98, "a313c72837a3cbe600b55a55256b4ecdb41bf82db37325ab5db4c1a59b102455"),
+        ("standard", True): (98, "40679a351f9b8c318acc7fc90bffe15c1240df16d6a24667a70aa452e5b4cb70"),
+        ("cancellation", False): (98, "47a7884f99a0287c07d49bbc018e5c46417c83053f85450e206adb5e0ad79a24"),
+        ("cancellation", True): (98, "a60ac07777a049d3d03f5a49e55aa0575d748f54a8332f2fd231834e9f83f152"),
+    }
+    SWEEPS = {
+        "mapping-grid": (15, "a9a2b10f32cc0d64355c3694e8380161041aa572dc3ac73545c23b1fbab82221"),
+        "outage-grid": (112, "6e30c80901c2b01af20b0ed89b8a4b44b27c1644838c09642faa6aa0f5346555"),
+        "paper": (364, "a943ecaf5e78d5f952f458c10121e3911cb55bd1e99cfb738bdca0a020645d2d"),
+        "paper-cancellation-heterogeneous": (98, "a60ac07777a049d3d03f5a49e55aa0575d748f54a8332f2fd231834e9f83f152"),
+        "paper-cancellation-homogeneous": (98, "47a7884f99a0287c07d49bbc018e5c46417c83053f85450e206adb5e0ad79a24"),
+        "paper-standard-heterogeneous": (98, "40679a351f9b8c318acc7fc90bffe15c1240df16d6a24667a70aa452e5b4cb70"),
+        "paper-standard-homogeneous": (98, "a313c72837a3cbe600b55a55256b4ecdb41bf82db37325ab5db4c1a59b102455"),
+        "period-grid": (44, "95753ef9e7b498d27a94bce8534f45747b39c3cfea73e509ae8544c375105aa4"),
+        "threshold-grid": (12, "187884ba0aaa417e84235f6ed9c601826107ed03c75816e199faec0b496c9670"),
+        "trace-fraction-grid": (12, "5d30d08b7729bc3bf2ed28b633254f010f9990d49bd6c34718cfcfab939e92ee"),
+    }
+
+    def test_single_config_key(self):
+        assert config_key(ExperimentConfig(scenario="jan")) == (
+            "3069a587620baec255289b1b311e6ffaf7c72ea0909f9ab191e03ab8c3f032a4"
         )
-        configs = sweep.configs()
-        assert configs and all(c.profile_engine == "list" for c in configs)
 
-    def test_get_sweep_engine_override(self):
-        from repro.experiments.sweeps import get_sweep
+    @pytest.mark.parametrize("algorithm,heterogeneous", sorted(PAPER))
+    def test_paper_table_keys(self, algorithm, heterogeneous):
+        sweep = SweepConfig(algorithm=algorithm, heterogeneous=heterogeneous)
+        assert _units_digest(sweep.configs()) == self.PAPER[(algorithm, heterogeneous)]
 
-        spec = get_sweep("threshold-grid", profile_engine="list")
-        cells = spec.cells()
-        assert cells and all(c.profile_engine == "list" for c, _ in cells)
-        default_cells = get_sweep("threshold-grid").cells()
-        assert all(c.profile_engine == "auto" for c, _ in default_cells)
-
-    def test_baseline_preserves_engine(self):
-        config = ExperimentConfig(
-            scenario="jan", algorithm="standard", profile_engine="list"
-        )
-        assert config.baseline().profile_engine == "list"
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_sweep_unit_keys(self, name):
+        assert _units_digest(get_sweep(name).configs()) == self.SWEEPS[name]

@@ -12,7 +12,7 @@ These tests replay seeded random FCFS worlds — list and array engines,
 static and outage platforms, times on a coarse grid so that early and
 walltime-boundary completions share timestamps — and after *every*
 completion compare the plan entries (exact floats) and the compacted
-residual with ``plan_fcfs_reference`` over ``cluster.build_profile(now)``.
+residual with ``plan_fcfs`` over ``cluster.build_profile(now)``.
 Hand-built worlds pin the walk's shapes: the empty window of a
 walltime-boundary completion (nothing re-placed), a cut right after the
 head, an unchanged head inside the window that must not end the walk, and
@@ -40,12 +40,13 @@ import random
 import pytest
 
 from repro.batch.job import Job
-from repro.batch.policies import IncrementalPlanner, plan_fcfs_reference
+from repro.batch.policies import IncrementalPlanner, plan_fcfs
 from repro.batch.schedule import IncrementalPlan
-from repro.batch.server import BatchServer
 from repro.platform.timeline import AvailabilityTimeline
 from repro.sim.events import EventType
 from repro.sim.kernel import SimulationKernel
+
+from oracles.profiles import server_on
 
 ENGINES = ("list", "array")
 PLATFORMS = ("static", "outage")
@@ -61,7 +62,7 @@ def compacted(profile, now):
 
 def assert_matches_reference(planner: IncrementalPlanner, now: float) -> None:
     profile = planner.cluster.build_profile(now)
-    reference = plan_fcfs_reference(profile, planner.jobs, planner.speed, now)
+    reference = plan_fcfs(profile, planner.jobs, planner.speed, now)
     entries = planner.plan.entries
     assert [entry.job_id for entry in entries] == [job.job_id for job in planner.jobs]
     for entry in entries:
@@ -122,8 +123,8 @@ def make_timeline(outages):
 def run_world(jobs, procs, engine, speed=1.0, outages=(), cancels=()):
     """Replay ``(job_id, submit, procs, runtime, walltime)`` rows on one FCFS server."""
     kernel = SimulationKernel()
-    server = BatchServer(
-        kernel, "c", procs, speed, policy="fcfs", profile_engine=engine,
+    server = server_on(
+        engine, kernel, "c", procs, speed, policy="fcfs",
         timeline=make_timeline(outages) if outages else None,
     )
     by_id = {}

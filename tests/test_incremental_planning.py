@@ -7,8 +7,8 @@ current cluster state.  These tests drive randomized submit / cancel /
 start / completion sequences through a :class:`BatchServer` — under both
 policies and heterogeneous cluster speeds — and check, after every event:
 
-* the incremental plan entries match ``plan_fcfs_reference`` /
-  ``plan_cbf_reference`` exactly;
+* the incremental plan entries match ``plan_fcfs`` / ``plan_cbf``
+  exactly;
 * the live residual profile equals the reference residual as a step
   function;
 * the cluster's live availability profile equals the from-scratch
@@ -26,11 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch.job import Job, JobState
-from repro.batch.policies import (
-    BatchPolicy,
-    plan_cbf_reference,
-    plan_fcfs_reference,
-)
+from repro.batch.policies import BatchPolicy, plan_cbf, plan_fcfs
 from repro.sim.kernel import SimulationKernel
 from tests.conftest import make_job, make_server
 
@@ -70,9 +66,7 @@ def reference_state(server):
     """Plan, residual and FCFS frontier recomputed from scratch."""
     now = server.kernel.now
     profile = server.cluster.build_profile(now)
-    plan_fn = (
-        plan_fcfs_reference if server.policy is BatchPolicy.FCFS else plan_cbf_reference
-    )
+    plan_fn = plan_fcfs if server.policy is BatchPolicy.FCFS else plan_cbf
     plan = plan_fn(profile, server.waiting_jobs(), server.speed, now, server.name)
     last_start = now
     for entry in plan:
@@ -268,18 +262,20 @@ class TestSuffixBehaviour:
         assert all(a is b for a, b in zip(entries_after[:2], entries_before[:2]))
         assert_matches_reference(server, PROBES)
 
-    def test_residual_before_restores_base_profile(self, kernel):
-        server = make_server(kernel, procs=8, policy="cbf")
+    @pytest.mark.parametrize("policy", ["fcfs", "cbf"])
+    def test_restore_suffix_restores_base_profile(self, kernel, policy):
+        # FCFS runs the list engine and CBF the array engine, so both
+        # release_many implementations are held to the rebuilt profile.
+        server = make_server(kernel, procs=8, policy=policy)
         server.submit(make_job(1, procs=8, runtime=300.0, walltime=400.0))
         for job_id in (2, 3, 4):
             server.submit(make_job(job_id, procs=3, runtime=50.0, walltime=100.0))
-        planner = server._planner
-        base = planner.plan.residual_before(0)
-        rebuilt = server.cluster.build_profile(kernel.now)
-        base.advance(kernel.now)
-        base.compact()
-        rebuilt.compact()
-        assert list(base.breakpoints()) == list(rebuilt.breakpoints())
+        plan = server._planner.plan
+        plan.restore_suffix(0)
+        assert plan.entries == []
+        assert profile_points(plan.residual, kernel.now) == profile_points(
+            server.cluster.build_profile(kernel.now), kernel.now
+        )
 
     def test_estimates_do_not_mutate_incremental_state(self, kernel):
         server = make_server(kernel, procs=4, policy="cbf")

@@ -10,8 +10,8 @@ float for float:
 * the cluster's live availability profile equals
   :meth:`ClusterState.build_profile` (which rebuilds from the running set
   at the *current* capacity);
-* the incremental plan equals ``plan_fcfs_reference`` /
-  ``plan_cbf_reference`` over that rebuilt profile;
+* the incremental plan equals ``plan_fcfs`` /
+  ``plan_cbf`` over that rebuilt profile;
 * FCFS frontier and foreign-job estimates follow the reference formulas.
 
 Both policies are exercised, as required by the acceptance criteria.

@@ -11,6 +11,8 @@ from repro.batch.policies import plan_cbf, plan_fcfs
 from repro.batch.profile import AvailabilityProfile
 from tests.conftest import make_job
 
+from oracles.profiles import reserve
+
 # A reservation request: (procs, duration) with procs within a 16-core box.
 reservation = st.tuples(st.integers(1, 16), st.floats(1.0, 500.0))
 
@@ -21,7 +23,7 @@ class TestProfileInvariants:
     def test_free_count_stays_within_bounds(self, requests):
         profile = AvailabilityProfile(16, start_time=0.0)
         for procs, duration in requests:
-            profile.reserve(procs, duration, earliest=0.0)
+            reserve(profile, procs, duration, earliest=0.0)
         for _, free in profile.breakpoints():
             assert 0 <= free <= 16
 
@@ -43,7 +45,7 @@ class TestProfileInvariants:
         """No earlier breakpoint-aligned start is feasible."""
         profile = AvailabilityProfile(16, start_time=0.0)
         for procs, duration in requests[:-1]:
-            profile.reserve(procs, duration, earliest=0.0)
+            reserve(profile, procs, duration, earliest=0.0)
         procs, duration = requests[-1]
         start = profile.earliest_slot(procs, duration, earliest=0.0)
         for time, _ in profile.breakpoints():
@@ -59,7 +61,7 @@ class TestProfileInvariants:
         profile = AvailabilityProfile(16, start_time=0.0)
         placed = []
         for procs, duration in requests:
-            slot = profile.reserve(procs, duration, earliest=start)
+            slot = reserve(profile, procs, duration, earliest=start)
             placed.append((slot, slot + duration, procs))
         for slot, end, procs in placed:
             profile.add(slot, end, procs)

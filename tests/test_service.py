@@ -461,3 +461,118 @@ class TestReallocationHeartbeat:
             ServiceConfig(reallocation_algorithm="nope")
         with pytest.raises(ValueError, match="bogus"):
             ServiceConfig(reallocation_heuristic="bogus")
+
+
+class TestReallocationRaces:
+    """Client actions landing on the heartbeat where a reallocation tick fires."""
+
+    HEARTBEAT = 5.0
+    INTERVAL = 15.0  # armed at t=0, so the first tick is due at t=15
+
+    def _service(self, algorithm: str) -> MetaSchedulerService:
+        return make_service(
+            heartbeat=self.HEARTBEAT,
+            reallocation_interval=self.INTERVAL,
+            reallocation_algorithm=algorithm,
+            reallocation_threshold=0.0,
+        )
+
+    @staticmethod
+    def _offer_world(client):
+        """``hog`` frees alpha at t=10, long before its walltime, so the
+        t=15 tick finds ``target`` (mapped behind ``busy`` on beta) better
+        placed on alpha; ``wide`` only fits beta and keeps the tick from
+        being skipped as idle."""
+        client.offer(procs=4, runtime=10.0, walltime=1000.0)  # hog
+        client.offer(procs=8, runtime=500.0, walltime=500.0)  # busy
+        target = client.offer(procs=4, runtime=100.0, walltime=100.0)
+        wide = client.offer(procs=8, runtime=50.0, walltime=50.0)
+        return target, wide
+
+    async def _run(self, algorithm: str, cancel: bool):
+        service = self._service(algorithm)
+        client = ServiceClient(service)
+        target, wide = self._offer_world(client)
+        service.start()
+        while service.clock.now() < self.INTERVAL:
+            await asyncio.sleep(0)
+        # The kernel just reached the tick's heartbeat; the admission loop
+        # has not resumed yet, so the tick is still to fire.
+        assert service.reallocation_ticks == 0
+        assert target.state is TicketState.WAITING
+        assert target.job.cluster == wide.job.cluster == "beta"
+        if cancel:
+            client.cancel(target.job_id)
+        while service.reallocation_ticks == 0:
+            await asyncio.sleep(0)
+        # The tick fired on that heartbeat: it re-armed from t=15.
+        assert service.reallocation_ticks == 1
+        assert service._next_reallocation == 2 * self.INTERVAL
+        stats = service.stats()
+        await service.shutdown()
+        return service, target, stats
+
+    @pytest.mark.parametrize("algorithm", ["standard", "cancellation"])
+    def test_tick_moves_the_job_when_not_cancelled(self, algorithm):
+        service, target, stats = asyncio.run(self._run(algorithm, cancel=False))
+        assert target.job.cluster == "alpha"
+        assert target.job.reallocation_count == 1
+        assert target.job.start_time == self.INTERVAL
+        assert stats["reallocation"]["migrated"] == 1
+        assert stats["cancelled"] == 0
+
+    @pytest.mark.parametrize("algorithm", ["standard", "cancellation"])
+    def test_cancel_on_the_tick_heartbeat(self, algorithm):
+        service, target, stats = asyncio.run(self._run(algorithm, cancel=True))
+        job = target.job
+        # The tick neither moved nor started the cancelled job.
+        assert target.state is TicketState.CANCELLED
+        assert job.cluster is None
+        assert job.reallocation_count == 0
+        assert job.start_time is None
+        assert all(job not in server.waiting_jobs() for server in service.servers)
+        assert stats["reallocation"]["migrated"] == 0
+        # Counts stay consistent: one user cancel, every other job in flight.
+        assert stats["cancelled"] == 1
+        assert stats["accepted"] == stats["admitted"] == 4
+        assert stats["in_flight"] == 2  # busy and wide; hog already completed
+        service.run_until_idle()
+        final = service.stats()
+        assert final["cancelled"] == 1
+        assert final["in_flight"] == 0
+        assert final["completed"] == 3
+        assert final["completed"] + final["cancelled"] == final["accepted"]
+
+    @pytest.mark.parametrize("algorithm", ["standard", "cancellation"])
+    def test_shutdown_without_drain_with_a_tick_due(self, algorithm):
+        async def run():
+            service = self._service(algorithm)
+            client = ServiceClient(service)
+            self._offer_world(client)
+            service.start()
+            while service.clock.now() < self.INTERVAL:
+                await asyncio.sleep(0)
+            # A tick is due and the admission queue holds work the
+            # shutdown has to cancel.
+            assert service.reallocation_ticks == 0
+            queued = [client.offer(procs=1, runtime=10.0) for _ in range(3)]
+            report = await service.shutdown(drain=False)
+            ticks = service.reallocation_ticks
+            assert report["queued_cancelled"] == 3
+            assert all(t.state is TicketState.CANCELLED for t in queued)
+            # The loop exited and left no task behind.
+            assert service._task is None
+            assert [t for t in asyncio.all_tasks() if t is not asyncio.current_task()] == []
+            for _ in range(20):
+                await asyncio.sleep(0)
+            assert service.reallocation_ticks == ticks
+            return service, ticks
+
+        service, ticks = asyncio.run(run())
+        # Finishing the in-flight jobs fires no tick either.
+        service.run_until_idle()
+        assert service.reallocation_ticks == ticks
+        stats = service.stats()
+        assert stats["in_flight"] == 0
+        assert stats["queue_depth"] == 0
+        assert stats["completed"] + stats["cancelled"] == stats["accepted"] == 7
