@@ -1,32 +1,30 @@
-"""Availability-engine benchmark: columnar arrays vs the list profile.
+"""Availability-profile benchmark: the production profile vs its baselines.
 
 Drives identical deep-queue workloads — fill a 128-processor cluster,
 submit a deep waiting queue through the incremental planner, churn the
-queue tail, then fire a completion-estimate storm — once per availability
-engine (the list-based :class:`~repro.batch.profile.AvailabilityProfile`
-oracle and the columnar :class:`~repro.batch.arrayprofile.ArrayProfile`)
-and asserts the plans and estimates are *float-identical* before
-comparing wall clocks.
+queue tail, then fire a completion-estimate storm — once on the
+production :class:`~repro.batch.profile.AvailabilityProfile` (which picks
+list or array storage from the length of its own searches) and once on a
+baseline, and asserts the plans and estimates are *float-identical*
+before comparing wall clocks.
 
-The interesting case is conservative backfilling: every CBF placement and
-every CBF estimate searches the profile from ``now``, so the list engine
-pays O(breakpoints) Python-level segment visits per query — O(depth²)
-over a submit loop — while the array engine answers each query with a
-handful of vectorised passes.  FCFS is the mirror image: tail placements
-visit O(1) segments on either engine, so the fixed per-call overhead of
-the NumPy primitives dominates and the *list* engine wins.  That is why
-:class:`~repro.batch.cluster.ClusterState` picks the engine per policy,
-and what this benchmark gates: per policy, the recorded ``speedup`` is the
-wall-clock of the *alternative* engine over the *selected* one — CBF
-asserts array ≥ ``MIN_SPEEDUP``× faster than list at depth ≥ 10⁴, FCFS
-asserts the selected list engine is no slower than the array engine
-(floor ``FCFS_MIN_SPEEDUP`` = 1.0, i.e. the policy rule never regresses
-FCFS submit throughput).  Each engine is forced onto the cluster with
-the ``oracles.profiles`` test helpers.
+The baselines are the two storages the production profile must not lose
+to, forced onto the cluster with the ``oracles.profiles`` helpers:
 
-Timings are published as ``BENCH_profile.json`` at the repository root
-(uploaded as a CI artifact); the recorded ``array_submits_per_s`` at
-depth 10⁴ is the number backing the ROADMAP's deep-queue planning item.
+* **CBF** — every CBF placement and estimate searches the profile from
+  ``now``, so the list-only reference (``ListProfile``) pays
+  O(breakpoints) Python-level segment visits per query, O(depth²) over a
+  submit loop.  The production profile must move to arrays and be at
+  least ``MIN_SPEEDUP``× faster at depth ≥ 10⁴.
+* **FCFS** — tail placements visit O(1) segments, so the fixed per-call
+  overhead of the NumPy primitives dominates.  The production profile
+  must stay in lists and be no slower than the profile pinned to array
+  storage (floor ``FCFS_MIN_SPEEDUP`` = 1.0).
+
+The recorded ``speedup`` is the baseline's wall clock over the
+production profile's.  Timings are published as ``BENCH_profile.json`` at
+the repository root under ``REPRO_BENCH_WRITE=1`` (uploaded as a CI
+artifact).
 
 Environment
 -----------
@@ -43,7 +41,6 @@ import time
 
 from perfutil import env_scales, gc_disabled, publish_report, speedup as wall_speedup
 
-from repro.batch.cluster import ClusterState
 from repro.batch.job import Job
 from repro.batch.policies import BatchPolicy, IncrementalPlanner
 
@@ -51,12 +48,14 @@ from oracles.profiles import cluster_on
 
 #: Queue depths measured by default (the floor is asserted at 10⁴).
 DEFAULT_DEPTHS = (1_000, 10_000)
-#: Required alternative/selected wall-clock ratio for the CBF workload
-#: (selected: array) ...
+#: Required baseline/production wall-clock ratio for the CBF workload
+#: (baseline: the list-only reference) ...
 MIN_SPEEDUP = 3.0
-#: ... and for the FCFS workload (selected: list; 1.0 = "the policy rule
-#: picked an engine at least as fast as the alternative") ...
+#: ... and for the FCFS workload (baseline: array storage; 1.0 = "the
+#: production profile is at least as fast") ...
 FCFS_MIN_SPEEDUP = 1.0
+#: Profile of each side, as named by ``oracles.profiles.PROFILES``.
+BASELINES = {BatchPolicy.CBF: "reference", BatchPolicy.FCFS: "array"}
 #: ... both asserted only at queue depths at least this large.
 SPEEDUP_FLOOR_SCALE = 10_000
 #: Cancel + resubmit churn events near the queue tail per run.
@@ -73,7 +72,7 @@ def depths() -> tuple:
 
 
 def bench_workload(depth: int):
-    """Deterministic job population shared by both engines at one depth."""
+    """Deterministic job population shared by both profiles at one depth."""
     rng = random.Random(BENCH_SEED + depth)
     blockers = [
         Job(job_id=1_000_000 + i, submit_time=0.0, procs=8,
@@ -101,9 +100,9 @@ def bench_workload(depth: int):
     return blockers, waiting, churn, probes
 
 
-def run_engine(engine: str, policy: BatchPolicy, blockers, waiting, churn, probes):
-    """One full workload on one engine; returns (sections, plan, estimates)."""
-    cluster = cluster_on(engine, "bench", TOTAL_PROCS, 1.0)
+def run_profile(profile: str, policy: BatchPolicy, blockers, waiting, churn, probes):
+    """One full workload on one profile; returns (sections, plan, estimates)."""
+    cluster = cluster_on(profile, "bench", TOTAL_PROCS, 1.0)
     for job in blockers:
         cluster.start_job(job, start_time=0.0)
     planner = IncrementalPlanner(policy, cluster)
@@ -129,11 +128,11 @@ def run_engine(engine: str, policy: BatchPolicy, blockers, waiting, churn, probe
     return sections, planner.cluster_plan(), estimates
 
 
-def best_run(repetitions: int, engine, policy, workload):
+def best_run(repetitions: int, profile, policy, workload):
     """Best-of-N on the total timed wall clock, keeping that run's sections."""
     best = None
     for _ in range(repetitions):
-        run = run_engine(engine, policy, *workload)
+        run = run_profile(profile, policy, *workload)
         if best is None or run[0]["total_s"] < best[0]["total_s"]:
             best = run
     return best
@@ -168,47 +167,37 @@ def test_availability_engine_speedup():
         workload = bench_workload(depth)
         repetitions = 2 if depth < 5_000 else 1
         report["depths"][str(depth)] = {}
-        for policy in (BatchPolicy.CBF, BatchPolicy.FCFS):
-            list_sections, list_plan, list_estimates = best_run(
-                repetitions, "list", policy, workload
+        for policy, baseline in BASELINES.items():
+            runs = {
+                profile: best_run(repetitions, profile, policy, workload)
+                for profile in ("adaptive", baseline)
+            }
+            sections, plan, estimates = runs["adaptive"]
+            base_sections, base_plan, base_estimates = runs[baseline]
+            assert plans_identical(plan, base_plan), (
+                f"depth {depth} {policy}: plan diverged from the {baseline} profile"
             )
-            array_sections, array_plan, array_estimates = best_run(
-                repetitions, "array", policy, workload
-            )
-
-            assert plans_identical(list_plan, array_plan), (
-                f"depth {depth} {policy}: array plan diverged from the list oracle"
-            )
-            assert list_estimates == array_estimates, (
-                f"depth {depth} {policy}: array estimates diverged from the "
-                "list oracle"
+            assert estimates == base_estimates, (
+                f"depth {depth} {policy}: estimates diverged from the {baseline} profile"
             )
 
-            selected = ClusterState("bench", TOTAL_PROCS, 1.0, policy).profile_engine
-            if selected == "array":
-                speedup = wall_speedup(
-                    list_sections["total_s"], array_sections["total_s"]
-                )
-            else:
-                speedup = wall_speedup(
-                    array_sections["total_s"], list_sections["total_s"]
-                )
-            entry = {"selected": selected}
-            for engine, sections in (("list", list_sections), ("array", array_sections)):
-                for key, value in sections.items():
-                    entry[f"{engine}_{key}"] = round(value, 4)
-                entry[f"{engine}_submits_per_s"] = int(depth / sections["submit_s"])
+            speedup = wall_speedup(base_sections["total_s"], sections["total_s"])
+            entry = {"baseline": baseline}
+            for profile, (profile_sections, _, _) in runs.items():
+                for key, value in profile_sections.items():
+                    entry[f"{profile}_{key}"] = round(value, 4)
+                entry[f"{profile}_submits_per_s"] = int(depth / profile_sections["submit_s"])
             entry["speedup"] = round(speedup, 2)
             entry["min_speedup"] = (
                 MIN_SPEEDUP if policy is BatchPolicy.CBF else FCFS_MIN_SPEEDUP
             )
             report["depths"][str(depth)][policy.value] = entry
             print(
-                f"\ndepth {depth} {policy.value}: list {list_sections['total_s']:.3f}s "
-                f"(submit {entry['list_submits_per_s']}/s), "
-                f"array {array_sections['total_s']:.3f}s "
-                f"(submit {entry['array_submits_per_s']}/s), "
-                f"selected {selected}, speedup {speedup:.2f}x"
+                f"\ndepth {depth} {policy.value}: adaptive {sections['total_s']:.3f}s "
+                f"(submit {entry['adaptive_submits_per_s']}/s), "
+                f"{baseline} {base_sections['total_s']:.3f}s "
+                f"(submit {entry[baseline + '_submits_per_s']}/s), "
+                f"speedup {speedup:.2f}x"
             )
 
     publish_report("BENCH_profile.json", report)
@@ -217,7 +206,7 @@ def test_availability_engine_speedup():
         if int(depth_name) >= SPEEDUP_FLOOR_SCALE:
             for policy_name, numbers in policies.items():
                 assert numbers["speedup"] >= numbers["min_speedup"], (
-                    f"depth {depth_name} {policy_name}: selected-engine "
-                    f"speedup {numbers['speedup']}x below the "
+                    f"depth {depth_name} {policy_name}: production-profile "
+                    f"speedup {numbers['speedup']}x over {numbers['baseline']} below the "
                     f"{numbers['min_speedup']}x acceptance floor"
                 )

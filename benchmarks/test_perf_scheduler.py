@@ -74,10 +74,10 @@ def bench_workload():
 
 
 def make_cluster(blockers):
-    # Pinned to the list engine: this benchmark isolates incremental
+    # Pinned to list storage: this benchmark isolates incremental
     # (suffix-only) replanning against from-scratch replanning on the same
-    # profile implementation.  The array-vs-list engine comparison has its
-    # own benchmark (test_perf_profile.py) at the depths where it matters.
+    # profile storage.  How the production profile picks its storage has
+    # its own benchmark (test_perf_profile.py) at the depths where it matters.
     cluster = cluster_on("list", "bench", TOTAL_PROCS, 1.0)
     for job in blockers:
         cluster.start_job(job, start_time=0.0)

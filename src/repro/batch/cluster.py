@@ -3,8 +3,7 @@
 :class:`ClusterState` tracks the processors of one cluster and the jobs
 currently running on it.  It knows nothing about queues; the
 :class:`~repro.batch.server.BatchServer` combines it with a waiting queue
-and a planning policy.  The policy only picks the engine of the live
-availability profile (see :class:`ClusterState`).
+and a planning policy.
 
 The cluster also owns the *live* availability profile of its running set:
 :meth:`ClusterState.start_job` reserves the job's walltime window in the
@@ -30,9 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
-from repro.batch.arrayprofile import ArrayProfile
 from repro.batch.job import Job
-from repro.batch.policies import BatchPolicy
 from repro.batch.profile import AvailabilityProfile
 
 
@@ -67,27 +64,9 @@ class ClusterState:
     speed:
         Relative speed factor; 1.0 is the reference (slowest) cluster.
         Runtimes and walltimes are divided by this factor.
-    policy:
-        Local scheduling policy of the cluster, which picks the engine of
-        the live availability profile: FCFS places every job at the queue
-        tail, where the per-call overhead of the NumPy primitives loses to
-        plain lists, so it gets the list
-        :class:`~repro.batch.profile.AvailabilityProfile`; every other
-        policy gets the columnar
-        :class:`~repro.batch.arrayprofile.ArrayProfile`.  The engines are
-        float-identical (the differential suite holds them to exact
-        equality), so the choice never moves a result by a bit;
-        :meth:`build_profile` always uses the list engine, since it *is*
-        the oracle.
     """
 
-    def __init__(
-        self,
-        name: str,
-        total_procs: int,
-        speed: float = 1.0,
-        policy: BatchPolicy = BatchPolicy.CBF,
-    ) -> None:
+    def __init__(self, name: str, total_procs: int, speed: float = 1.0) -> None:
         if total_procs <= 0:
             raise ValueError(f"cluster {name}: total_procs must be positive, got {total_procs}")
         if speed <= 0:
@@ -99,14 +78,15 @@ class ClusterState:
         self.capacity = int(total_procs)
         self._running: Dict[int, RunningJob] = {}
         # Live availability profile of the running set, updated in place by
-        # start_job/finish_job and advanced lazily by availability().
-        engine = AvailabilityProfile if policy is BatchPolicy.FCFS else ArrayProfile
-        self._profile = engine(self.total_procs, start_time=0.0)
+        # start_job/finish_job and advanced lazily by availability().  The
+        # profile picks its own storage from its searches, whatever the
+        # policy planning on it.
+        self._profile = AvailabilityProfile(self.total_procs, start_time=0.0)
 
     @property
     def profile_engine(self) -> str:
-        """Engine of the live profile: ``"list"`` or ``"array"``."""
-        return "array" if isinstance(self._profile, ArrayProfile) else "list"
+        """Class of the live profile (the same for every policy)."""
+        return AvailabilityProfile.__name__
 
     # ------------------------------------------------------------------ #
     # Running set                                                        #
@@ -240,8 +220,6 @@ class ClusterState:
     # ------------------------------------------------------------------ #
     def availability(self, now: float):
         """Live availability profile advanced to ``now`` (returned as a copy).
-
-        The concrete type is the engine named by :attr:`profile_engine`.
 
         The live profile is maintained incrementally by
         :meth:`start_job`/:meth:`finish_job` (and by capacity changes);

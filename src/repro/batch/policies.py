@@ -29,14 +29,12 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import TYPE_CHECKING, Callable, Iterable, List, Protocol, Sequence
+from typing import Callable, Iterable, List, Protocol, Sequence
 
+from repro.batch.cluster import ClusterState
 from repro.batch.job import Job
 from repro.batch.profile import AvailabilityProfile
 from repro.batch.schedule import ClusterPlan, IncrementalPlan, PlannedJob
-
-if TYPE_CHECKING:  # the cluster module imports BatchPolicy from here
-    from repro.batch.cluster import ClusterState
 
 
 class BatchPolicy(enum.Enum):
@@ -227,7 +225,7 @@ class IncrementalPlanner:
         (respecting the FCFS frontier when the policy keeps queue order)
         against the live residual profile, which is never mutated.  The
         hypothetical placements go through one ``earliest_slot_many``
-        call — on the array engine the open-run structure of the residual
+        call — in array storage the open-run structure of the residual
         is built once per distinct processor count instead of once per
         job — with results float-identical to per-job ``earliest_slot``
         queries.  The

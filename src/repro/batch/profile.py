@@ -6,7 +6,7 @@ Both FCFS and conservative back-filling are expressed as searches over this
 profile: *find the earliest interval of length d during which at least p
 processors are free*, then subtract ``p`` processors over that interval.
 
-The profile is a sorted list of breakpoints ``(time, free)``; the last
+The profile is a sorted sequence of breakpoints ``(time, free)``; the last
 breakpoint extends to infinity.  Profiles support two usage styles:
 
 * *throw-away* profiles built per planning pass (the historical style,
@@ -18,18 +18,62 @@ breakpoint extends to infinity.  Profiles support two usage styles:
   gives processors back (clamped to the live left edge, coalescing
   redundant breakpoints).
 
-The columnar :class:`~repro.batch.arrayprofile.ArrayProfile` has the same
-method set, float-identical results; the bulk methods
-(:meth:`~AvailabilityProfile.earliest_slot_many`,
-:meth:`~AvailabilityProfile.release_many`) are plain loops here and
-vectorised there.
+Storage adapts to the searches
+------------------------------
+What a search costs depends on how many segments it visits, not on how
+many breakpoints the profile holds: an FCFS tail placement on a profile of
+~500 breakpoints visits one or two segments, a CBF search from ``now``
+across a deep queue visits hundreds.  A profile therefore keeps its
+breakpoints in one of two storages and moves between them on its own:
+
+* **list storage** (:class:`AvailabilityProfile` itself) — two Python
+  lists walked segment by segment, O(log B + segments visited) per search
+  with no fixed per-call overhead;
+* **array storage** (the private ``_ArrayMode`` subclass) — two
+  capacity-doubling NumPy arrays searched with array primitives (open-run
+  starts from a blocked mask, next blocking time per run via
+  ``searchsorted``), a fixed ~10 µs per search whatever its length, plus
+  a batched :meth:`~AvailabilityProfile.earliest_slot_many` that builds
+  the open-run structure once per distinct processor count and an
+  O(reservations + breakpoints) :meth:`~AvailabilityProfile.release_many`.
+
+Every search with a positive duration reports how many segments it
+visited (the index where a segment walk over the profile would stop: the
+first breakpoint at or after the end of the window found).  A search
+visiting more than ``_LONG_SCAN`` segments is *long*, any other one
+*short*.  A score counts long searches up and short ones down, clamped
+to ``[0, _SWITCH_AFTER]``: list storage moves to arrays when it reaches
+``_SWITCH_AFTER``, array storage back to lists when it reaches 0.  A
+profile thus follows the bulk of its searches, and an alternation of
+long and short ones never makes it flip back and forth.  The switch
+swaps ``__class__`` between the two storage classes, which share one slot
+layout, so no call ever goes through a wrapper.  Copies keep their
+storage and score.
+
+Both storages return float-identical results and keep identical
+breakpoints: free counts are integers, breakpoint times are only ever
+*copied* from inputs, compared or passed through ``max`` — never
+recomputed — and every feasibility comparison uses the same IEEE
+operations in the same order.  The list-only reference engine in
+``tests/oracles/profiles.py`` holds both storages, and every switch
+between them, to exact equality.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from itertools import compress, islice
+from operator import ne
 from typing import Iterable, Iterator, List, Sequence, Tuple
+
+import numpy as np
+
+#: A search visiting more segments than this is *long* ...
+_LONG_SCAN = 64
+#: ... and the score of long minus short searches moves list storage to
+#: arrays at this value and array storage back to lists at 0.
+_SWITCH_AFTER = 8
 
 
 class ProfileError(ValueError):
@@ -46,9 +90,15 @@ class AvailabilityProfile:
     start_time:
         Left edge of the profile.  Queries before this time are clamped to
         it (the past is irrelevant for planning).
+
+    A new profile keeps its breakpoints in Python lists; see the module
+    docstring for when it moves them to NumPy arrays and back.
+    ``_score`` is the storage rule's count of long minus short searches;
+    ``_size`` is only set in array storage, where it is the
+    number of live breakpoints.
     """
 
-    __slots__ = ("total_procs", "_times", "_free")
+    __slots__ = ("total_procs", "_times", "_free", "_size", "_score")
 
     def __init__(self, total_procs: int, start_time: float = 0.0) -> None:
         if total_procs < 0:
@@ -56,6 +106,7 @@ class AvailabilityProfile:
         self.total_procs = int(total_procs)
         self._times: list[float] = [float(start_time)]
         self._free: list[int] = [int(total_procs)]
+        self._score = 0
 
     # ------------------------------------------------------------------ #
     # Introspection                                                      #
@@ -80,14 +131,10 @@ class AvailabilityProfile:
         """Minimum number of free processors over the interval ``[start, end)``."""
         if end <= start:
             return self.free_at(start)
-        start = max(start, self._times[0])
-        idx = bisect_right(self._times, start) - 1
-        lowest = self._free[idx]
-        idx += 1
-        while idx < len(self._times) and self._times[idx] < end:
-            lowest = min(lowest, self._free[idx])
-            idx += 1
-        return lowest
+        times = self._times
+        idx = bisect_right(times, max(start, times[0])) - 1
+        # The segment holding ``start`` and every later one starting before ``end``.
+        return min(self._free[idx : bisect_left(times, end, idx + 1)])
 
     # ------------------------------------------------------------------ #
     # Mutation                                                           #
@@ -132,7 +179,11 @@ class AvailabilityProfile:
             self._free[i] -= procs
 
     def add(self, start: float, end: float, procs: int) -> None:
-        """Release ``procs`` processors over ``[start, end)`` (inverse of subtract)."""
+        """Release ``procs`` processors over ``[start, end)`` (inverse of subtract).
+
+        On overflow the segments before the first one that would exceed
+        the capacity are already released when the error is raised.
+        """
         if procs <= 0:
             raise ValueError(f"procs must be positive, got {procs}")
         if end <= start:
@@ -164,7 +215,8 @@ class AvailabilityProfile:
         """Move the left edge of the profile forward to ``now``.
 
         Breakpoints strictly in the past are dropped; the first remaining
-        segment is clamped to start at ``now``.  The profile is unchanged
+        segment is clamped to start at ``now``, and a first segment made
+        redundant by the clamp is merged (once).  The profile is unchanged
         as a function over ``[now, inf)``, so planning queries with
         ``earliest >= now`` are unaffected — this is what lets a live
         profile be reused across events instead of being rebuilt.
@@ -192,7 +244,7 @@ class AvailabilityProfile:
         """
         if procs <= 0:
             raise ValueError(f"procs must be positive, got {procs}")
-        start = max(start, self._times[0])
+        start = max(start, self.start_time)
         if end <= start:
             return
         self.add(start, end, procs)
@@ -222,7 +274,7 @@ class AvailabilityProfile:
         delta = new_total - self.total_procs
         if delta == 0:
             return
-        start = max(now, self._times[0])
+        start = max(now, self.start_time)
         if delta > 0:
             self.total_procs = int(new_total)
             self.add(start, math.inf, delta)
@@ -236,22 +288,19 @@ class AvailabilityProfile:
 
         The profile is unchanged as a step function; only its
         representation shrinks.  Called by the live-profile mutators so
-        repeated reserve/release cycles do not grow the breakpoint list
+        repeated reserve/release cycles do not grow the breakpoints
         without bound.
         """
-        times = self._times
         free = self._free
-        if len(times) < 2:
+        if len(free) < 2:
             return
-        keep_times = [times[0]]
-        keep_free = [free[0]]
-        for idx in range(1, len(times)):
-            if free[idx] != keep_free[-1]:
-                keep_times.append(times[idx])
-                keep_free.append(free[idx])
-        if len(keep_times) != len(times):
-            self._times = keep_times
-            self._free = keep_free
+        # keep[i]: breakpoint i + 1 changes the free count.
+        keep = list(map(ne, free, islice(free, 1, None)))
+        if all(keep):
+            return
+        times = self._times
+        self._times = [times[0], *compress(islice(times, 1, None), keep)]
+        self._free = [free[0], *compress(islice(free, 1, None), keep)]
 
     # ------------------------------------------------------------------ #
     # Planning queries                                                   #
@@ -259,11 +308,12 @@ class AvailabilityProfile:
     def earliest_slot(self, procs: int, duration: float, earliest: float) -> float:
         """Earliest ``t >= earliest`` with ``procs`` free during ``[t, t+duration)``.
 
-        The search enters the breakpoint list by binary search at
-        ``earliest`` and, whenever a segment blocks the current candidate,
-        restarts directly after the blocking segment — the list is never
+        The search enters the breakpoints by binary search at ``earliest``
+        and, whenever a segment blocks the current candidate, restarts
+        directly after the blocking segment — the breakpoints are never
         rescanned from the beginning, so a call costs O(log B + segments
-        actually visited).
+        actually visited) here.  Array storage answers with the same
+        result from a vectorised search.
 
         Returns ``math.inf`` when the request can never be satisfied (more
         processors than the cluster owns).
@@ -286,7 +336,7 @@ class AvailabilityProfile:
                 idx += 1
             return math.inf
 
-        idx = bisect_right(times, earliest) - 1
+        first = idx = bisect_right(times, earliest) - 1
         candidate = earliest
         while True:
             # Scan forward from `candidate` checking that every segment that
@@ -310,33 +360,461 @@ class AvailabilityProfile:
                     break
                 scan += 1
             if ok:
-                return candidate
+                break
             if idx >= count:
                 # Blocking segment was the final (infinite) one.
-                return math.inf
+                candidate = math.inf
+                scan = count
+                break
+        if scan - first > _LONG_SCAN:
+            self._score += 1
+            if self._score >= _SWITCH_AFTER:
+                self._to_array()
+        elif self._score:
+            self._score -= 1
+        return candidate
 
     def earliest_slot_many(
         self, procs: Sequence[int], durations: Sequence[float], earliest: float
     ) -> List[float]:
-        """:meth:`earliest_slot` for each ``(procs, duration)`` query."""
+        """:meth:`earliest_slot` for each ``(procs, duration)`` query.
+
+        One search per query while the breakpoints stay in lists; when the
+        searches move them to arrays, the rest of the batch runs as one
+        batched array query.
+        """
         if len(procs) != len(durations):
             raise ValueError("procs and durations must have the same length")
-        return [
-            self.earliest_slot(p, duration, earliest)
-            for p, duration in zip(procs, durations)
-        ]
+        out: List[float] = []
+        for p, duration in zip(procs, durations):
+            if type(self._times) is not list:
+                done = len(out)
+                out += self.earliest_slot_many(procs[done:], durations[done:], earliest)
+                break
+            out.append(self.earliest_slot(p, duration, earliest))
+        return out
+
+    # ------------------------------------------------------------------ #
+    # Storage                                                            #
+    # ------------------------------------------------------------------ #
+    def _to_array(self) -> None:
+        """Move the breakpoints into array storage (the profile is unchanged)."""
+        n = len(self._times)
+        times = np.empty(2 * n, dtype=np.float64)
+        free = np.empty(2 * n, dtype=np.int64)
+        times[:n] = self._times
+        free[:n] = self._free
+        self._times = times
+        self._free = free
+        self._size = n
+        self._score = _SWITCH_AFTER
+        self.__class__ = _ArrayMode
+
+    def copy(self) -> "AvailabilityProfile":
+        """Independent copy in the same storage (used for what-if queries)."""
+        clone = object.__new__(type(self))
+        clone.total_procs = self.total_procs
+        clone._times = list(self._times)
+        clone._free = list(self._free)
+        clone._score = self._score
+        return clone
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        points = ", ".join(f"({t:.0f}:{f})" for t, f in self.breakpoints())
+        return f"AvailabilityProfile(cap={self.total_procs}, [{points}])"
+
+
+class _ArrayMode(AvailabilityProfile):
+    """Array storage of :class:`AvailabilityProfile`.
+
+    Same methods, error messages and failure states, float-identical
+    results; ``_times``/``_free`` are capacity-doubling ``float64``/
+    ``int64`` arrays whose first ``_size`` entries are live.  A profile
+    only gets here through a switch (see the module docstring).
+    """
+
+    __slots__ = ()
+
+    # ------------------------------------------------------------------ #
+    # Introspection                                                      #
+    # ------------------------------------------------------------------ #
+    @property
+    def start_time(self) -> float:
+        """Left edge of the profile."""
+        return float(self._times[0])
+
+    def breakpoints(self) -> Iterator[Tuple[float, int]]:
+        """Iterate over ``(time, free_procs)`` breakpoints (Python scalars)."""
+        n = self._size
+        return zip(self._times[:n].tolist(), self._free[:n].tolist())
+
+    def free_at(self, time: float) -> int:
+        """Number of free processors at ``time`` (clamped to the profile start)."""
+        if time <= self._times[0]:
+            return int(self._free[0])
+        idx = self._times[: self._size].searchsorted(time, side="right") - 1
+        return int(self._free[idx])
+
+    def min_free_over(self, start: float, end: float) -> int:
+        """Minimum number of free processors over the interval ``[start, end)``."""
+        if end <= start:
+            return self.free_at(start)
+        times = self._times[: self._size]
+        start = max(start, times[0])
+        i_start = int(times.searchsorted(start, side="right")) - 1
+        # The segment containing ``start`` always participates, even when
+        # ``end`` falls inside it (the segment walk starts there).
+        i_end = max(int(times.searchsorted(end, side="left")), i_start + 1)
+        return int(self._free[i_start:i_end].min())
+
+    # ------------------------------------------------------------------ #
+    # Storage management                                                 #
+    # ------------------------------------------------------------------ #
+    def _reserve(self, needed: int) -> None:
+        """Grow the backing arrays (doubling) to hold ``needed`` breakpoints."""
+        capacity = self._times.shape[0]
+        if capacity >= needed:
+            return
+        while capacity < needed:
+            capacity *= 2
+        n = self._size
+        times = np.empty(capacity, dtype=np.float64)
+        free = np.empty(capacity, dtype=np.int64)
+        times[:n] = self._times[:n]
+        free[:n] = self._free[:n]
+        self._times = times
+        self._free = free
+
+    def _insert(self, index: int, time: float, value: int) -> None:
+        """Insert one breakpoint at ``index``, shifting the suffix in place."""
+        n = self._size
+        self._reserve(n + 1)
+        times = self._times
+        free = self._free
+        if index < n:
+            times[index + 1 : n + 1] = times[index:n]
+            free[index + 1 : n + 1] = free[index:n]
+        times[index] = time
+        free[index] = value
+        self._size = n + 1
+
+    def _to_list(self) -> None:
+        """Move the breakpoints into list storage (the profile is unchanged)."""
+        n = self._size
+        self._times = self._times[:n].tolist()
+        self._free = self._free[:n].tolist()
+        self._score = 0
+        self.__class__ = AvailabilityProfile
+
+    # ------------------------------------------------------------------ #
+    # Mutation                                                           #
+    # ------------------------------------------------------------------ #
+    def _ensure_bounds(self, start: float, end: float, i0: int, j: int):
+        """Materialise the ``[start, end)`` breakpoints; return their indices.
+
+        ``i0``/``j`` are the already-computed ``searchsorted`` positions of
+        ``start`` (right, minus one) and ``end`` (left) so the interval
+        mutations run two binary searches instead of four.  Equivalent to
+        ``(_ensure_breakpoint(start), _ensure_breakpoint(end))``.
+        """
+        if i0 < 0:
+            # Before the profile start: extend the profile to the left with
+            # the capacity value so reservations starting earlier are valid.
+            self._insert(0, start, self.total_procs)
+            i_start = 0
+            j += 1
+        elif self._times[i0] == start:
+            i_start = i0
+        else:
+            self._insert(i0 + 1, start, int(self._free[i0]))
+            i_start = i0 + 1
+            j += 1
+        if not math.isfinite(end):
+            return i_start, self._size
+        # ``j`` is now the left-insertion point of ``end`` in the updated
+        # array (the start breakpoint, < end, always lands before it).
+        if j < self._size and self._times[j] == end:
+            return i_start, j
+        self._insert(j, end, int(self._free[j - 1]))
+        return i_start, j
+
+    def subtract(self, start: float, end: float, procs: int) -> None:
+        """Remove ``procs`` free processors over ``[start, end)``."""
+        if procs <= 0:
+            raise ValueError(f"procs must be positive, got {procs}")
+        if end <= start:
+            raise ValueError(f"empty interval [{start}, {end})")
+        times = self._times[: self._size]
+        i0 = int(times.searchsorted(start, side="right")) - 1
+        j = int(times.searchsorted(end, side="left"))
+        scan_lo = max(i0, 0)
+        lowest = int(self._free[scan_lo : max(j, scan_lo + 1)].min())
+        if lowest < procs:
+            raise ProfileError(
+                f"cannot reserve {procs} procs over [{start}, {end}): "
+                f"only {lowest} free"
+            )
+        i_start, i_end = self._ensure_bounds(start, end, i0, j)
+        self._free[i_start:i_end] -= procs
+
+    def add(self, start: float, end: float, procs: int) -> None:
+        """Release ``procs`` processors over ``[start, end)`` (inverse of subtract)."""
+        if procs <= 0:
+            raise ValueError(f"procs must be positive, got {procs}")
+        if end <= start:
+            raise ValueError(f"empty interval [{start}, {end})")
+        times = self._times[: self._size]
+        i0 = int(times.searchsorted(start, side="right")) - 1
+        j = int(times.searchsorted(end, side="left"))
+        i_start, i_end = self._ensure_bounds(start, end, i0, j)
+        segment = self._free[i_start:i_end]
+        over = np.flatnonzero(segment > self.total_procs - procs)
+        if over.size:
+            # Same failure state as list storage: segments before the
+            # first overflow are already released.
+            segment[: int(over[0])] += procs
+            raise ProfileError(
+                f"releasing {procs} procs over [{start}, {end}) exceeds capacity "
+                f"{self.total_procs}"
+            )
+        segment += procs
+
+    def release_many(self, reservations: Iterable[Tuple[float, float, int]]) -> None:
+        """Give a whole set of ``(start, end, procs)`` reservations back at once.
+
+        Same result as :meth:`add` per reservation followed by one
+        :meth:`compact`, in O(reservations + breakpoints): union the
+        breakpoint times, sample the old step function once, apply every
+        interval delta with ``add.at`` and a cumulative sum.  A batch that
+        :meth:`add` would reject (non-positive procs, an empty interval,
+        an overflow) takes the per-reservation path, so it fails with the
+        same error and leaves the same state.
+        """
+        batch = [(s, e, p) for s, e, p in reservations]
+        if not batch:
+            self.compact()
+            return
+        n = self._size
+        old_times = self._times[:n]
+        old_free = self._free[:n]
+        starts = np.array([item[0] for item in batch], dtype=np.float64)
+        ends = np.array([item[1] for item in batch], dtype=np.float64)
+        procs = np.array([item[2] for item in batch], dtype=np.int64)
+        if int(procs.min()) <= 0 or bool((ends <= starts).any()):
+            AvailabilityProfile.release_many(self, batch)
+            return
+        finite = np.isfinite(ends)
+        times = np.unique(np.concatenate([old_times, starts, ends[finite]]))
+        # Sample the old step function at every merged breakpoint; times
+        # before the old left edge take the capacity value, as
+        # _ensure_bounds' left extension does.
+        sample = np.searchsorted(old_times, times, side="right") - 1
+        free = np.where(sample < 0, self.total_procs, old_free[np.maximum(sample, 0)])
+        # Interval deltas: +procs at each start, -procs at each finite end
+        # (an infinite reservation never ends), accumulated left to right.
+        delta = np.zeros(times.shape[0] + 1, dtype=np.int64)
+        np.add.at(delta, np.searchsorted(times, starts, side="left"), procs)
+        np.subtract.at(
+            delta, np.searchsorted(times, ends[finite], side="left"), procs[finite]
+        )
+        free = free + np.cumsum(delta[:-1])
+        if int(free.max()) > self.total_procs:
+            AvailabilityProfile.release_many(self, batch)
+            return
+        m = times.shape[0]
+        self._reserve(m)
+        self._times[:m] = times
+        self._free[:m] = free
+        self._size = m
+        self.compact()
+
+    # ------------------------------------------------------------------ #
+    # Live-profile maintenance                                           #
+    # ------------------------------------------------------------------ #
+    def advance(self, now: float) -> None:
+        """Move the left edge forward to ``now`` (one in-place shift)."""
+        times = self._times
+        if now <= times[0]:
+            return
+        n = self._size
+        free = self._free
+        idx = int(times[:n].searchsorted(now, side="right")) - 1
+        if idx > 0:
+            n -= idx
+            times[:n] = times[idx : idx + n]
+            free[:n] = free[idx : idx + n]
+            self._size = n
+        times[0] = now
+        if n > 1 and free[1] == free[0]:
+            times[1 : n - 1] = times[2:n]
+            free[1 : n - 1] = free[2:n]
+            self._size = n - 1
+
+    def compact(self) -> None:
+        """Drop redundant breakpoints in one vectorised pass."""
+        n = self._size
+        if n < 2:
+            return
+        free = self._free[:n]
+        keep = np.empty(n, dtype=bool)
+        keep[0] = True
+        np.not_equal(free[1:], free[:-1], out=keep[1:])
+        m = int(keep.sum())
+        if m == n:
+            return
+        idx = np.flatnonzero(keep)
+        self._times[:m] = self._times[:n][idx]
+        self._free[:m] = free[idx]
+        self._size = m
+
+    # ------------------------------------------------------------------ #
+    # Planning queries                                                   #
+    # ------------------------------------------------------------------ #
+    def earliest_slot(self, procs: int, duration: float, earliest: float) -> float:
+        """Earliest ``t >= earliest`` with ``procs`` free during ``[t, t+duration)``.
+
+        Vectorised: open-run starts from a blocked mask, the next blocking
+        time per run via ``searchsorted``, one comparison per candidate.
+        """
+        if procs > self.total_procs:
+            return math.inf
+        if procs <= 0:
+            raise ValueError(f"procs must be positive, got {procs}")
+        n = self._size
+        times = self._times[:n]
+        free = self._free[:n]
+        earliest = max(earliest, float(times[0]))
+        idx = int(times.searchsorted(earliest, side="right")) - 1
+        suffix_times = times[idx:]
+        if duration <= 0:
+            # A zero-length reservation only needs an instant with enough
+            # free processors: the first segment at/after `earliest` that
+            # fits.
+            open_mask = free[idx:] >= procs
+            k = int(open_mask.argmax())
+            if not open_mask[k]:
+                return math.inf
+            return max(earliest, float(times[idx + k]))
+        start = math.inf
+        candidates, block_times = self._open_runs(suffix_times, free[idx:], procs, earliest)
+        if candidates is not None:
+            feasible = candidates + duration <= block_times
+            k = int(feasible.argmax())
+            if feasible[k]:
+                start = float(candidates[k])
+        # The walk would visit more than _LONG_SCAN segments exactly when
+        # the breakpoint that many segments in lies before the window's end.
+        if n - idx > _LONG_SCAN and start + duration > suffix_times[_LONG_SCAN]:
+            if self._score < _SWITCH_AFTER:
+                self._score += 1
+        else:
+            self._score -= 1
+            if self._score <= 0:
+                self._to_list()
+        return start
+
+    @staticmethod
+    def _open_runs(times, free, procs, earliest):
+        """Candidate starts and their next blocking times for one ``procs``.
+
+        ``times``/``free`` are the suffix views entered at ``earliest``.
+        A *candidate* is where the segment walk would test a window: the
+        clamped start of each maximal run of segments with enough free
+        processors.  The window at a candidate succeeds exactly when the
+        next blocking segment starts at or after its end, so the pair of
+        arrays reduces every feasibility test to one comparison.
+        Returns ``(None, None)`` when no open run exists.
+        """
+        blocked = free < procs
+        open_starts = np.flatnonzero(
+            ~blocked & np.concatenate(([True], blocked[:-1]))
+        )
+        if open_starts.size == 0:
+            return None, None
+        candidates = np.maximum(earliest, times[open_starts])
+        blocked_idx = np.flatnonzero(blocked)
+        if blocked_idx.size:
+            pos = np.searchsorted(blocked_idx, open_starts)
+            safe = np.minimum(pos, blocked_idx.size - 1)
+            block_times = np.where(
+                pos < blocked_idx.size, times[blocked_idx[safe]], math.inf
+            )
+        else:
+            block_times = np.full(open_starts.shape, math.inf)
+        return candidates, block_times
+
+    def earliest_slot_many(
+        self, procs: Sequence[int], durations: Sequence[float], earliest: float
+    ) -> List[float]:
+        """Batched :meth:`earliest_slot` for queries sharing one ``earliest``.
+
+        The open-run structure is built once per distinct processor count
+        (ECT storms ask about many jobs over few distinct sizes), after
+        which each query is one vectorised feasibility comparison over its
+        candidate list.  Every query with a positive duration is one
+        search for the storage rule; the batch moves the score by its long
+        minus its short searches at once.
+        """
+        if len(procs) != len(durations):
+            raise ValueError("procs and durations must have the same length")
+        out: List[float] = [math.inf] * len(procs)
+        if not procs:
+            return out
+        n = self._size
+        times = self._times[:n]
+        free = self._free[:n]
+        total = self.total_procs
+        clamped = max(earliest, float(times[0]))
+        idx = int(np.searchsorted(times, clamped, side="right")) - 1
+        suffix_times = times[idx:]
+        suffix_free = free[idx:]
+        # A window ending past this breakpoint is a long search (see
+        # earliest_slot); an infinite start is one whenever it exists.
+        long_end = (
+            float(suffix_times[_LONG_SCAN]) if suffix_times.shape[0] > _LONG_SCAN else math.inf
+        )
+        searched = longs = 0
+        by_procs: dict = {}
+        for position, p in enumerate(procs):
+            by_procs.setdefault(int(p), []).append(position)
+        for p, positions in by_procs.items():
+            if p <= 0:
+                raise ValueError(f"procs must be positive, got {p}")
+            if p > total:
+                continue  # stays inf
+            structure = None
+            for position in positions:
+                duration = durations[position]
+                if duration <= 0:
+                    out[position] = self.earliest_slot(p, duration, earliest)
+                    continue
+                searched += 1
+                if structure is None:
+                    structure = self._open_runs(suffix_times, suffix_free, p, clamped)
+                candidates, block_times = structure
+                if candidates is not None:
+                    feasible = candidates + duration <= block_times
+                    k = int(feasible.argmax())
+                    if feasible[k]:
+                        out[position] = float(candidates[k])
+                if out[position] + duration > long_end:
+                    longs += 1
+        if searched:
+            self._score = min(self._score + 2 * longs - searched, _SWITCH_AFTER)
+            if self._score <= 0:
+                self._to_list()
+        return out
 
     # ------------------------------------------------------------------ #
     # Construction helpers                                               #
     # ------------------------------------------------------------------ #
     def copy(self) -> "AvailabilityProfile":
-        """Independent copy (used for what-if estimation queries)."""
-        clone = AvailabilityProfile.__new__(AvailabilityProfile)
+        """Independent copy in the same storage (used for what-if queries)."""
+        clone = object.__new__(type(self))
         clone.total_procs = self.total_procs
-        clone._times = list(self._times)
-        clone._free = list(self._free)
+        n = self._size
+        clone._times = self._times[:n].copy()
+        clone._free = self._free[:n].copy()
+        clone._size = n
+        clone._score = self._score
         return clone
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        points = ", ".join(f"({t:.0f}:{f})" for t, f in zip(self._times, self._free))
-        return f"AvailabilityProfile(cap={self.total_procs}, [{points}])"

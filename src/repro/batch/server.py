@@ -106,7 +106,7 @@ class BatchServer:
         if isinstance(policy, str):
             policy = BatchPolicy(policy.lower())
         self.policy = policy
-        self.cluster = ClusterState(name, total_procs, speed, policy)
+        self.cluster = ClusterState(name, total_procs, speed)
         self._planner = IncrementalPlanner(policy, self.cluster)
         self.on_completion = on_completion
         self.on_start = on_start

@@ -11,8 +11,9 @@ the perf benchmarks can hold the fast path to it:
 * :mod:`oracles.metrics` — the per-record comparison of two runs;
 * :mod:`oracles.queues` — the binary-heap event queue the calendar queue
   must match, and kernels running on it;
-* :mod:`oracles.profiles` — clusters, servers and simulations forced onto
-  either availability-profile engine, whatever their batch policy.
+* :mod:`oracles.profiles` — the list-only reference profile, and clusters,
+  servers and simulations whose profiles are pinned to list or array
+  storage.
 
 The package is imported as ``oracles``: pytest puts ``tests/`` on
 ``sys.path`` for the test suite, and ``benchmarks/conftest.py`` does the

@@ -1,16 +1,19 @@
-"""The columnar availability engine and its float-identity with the oracle.
+"""Array storage of the availability profile and its float-identity with the oracle.
 
-Three layers of evidence that :class:`ArrayProfile` is a drop-in twin of
-the list-based :class:`AvailabilityProfile`:
+Three layers of evidence that the profile's array storage is a drop-in
+twin of its list storage and of the list-only reference
+(``oracles.profiles.ListProfile``):
 
 * **mechanics** — storage growth, copy independence, bulk operations
-  against their scalar definitions on both engines;
-* **edge cases on both engines** — zero capacity, zero-duration queries,
+  against their scalar definitions in both storages;
+* **edge cases in both storages** — zero capacity, zero-duration queries,
   reservations ending exactly on breakpoints, advancing past the final
-  breakpoint (parametrized so the oracle itself is pinned too);
+  breakpoint (parametrized so each storage is pinned on its own);
 * **randomized differentials** — scripted submit/cancel/advance/capacity
   sequences at the profile, planner and server levels must produce
   *exactly* equal breakpoints, plans and estimates (no tolerances).
+
+Switches between the storages are covered by ``test_profile_switch.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import random
 
 import pytest
 
-from repro.batch.arrayprofile import ArrayProfile
 from repro.batch.cluster import ClusterState
 from repro.batch.job import Job
 from repro.batch.policies import BatchPolicy, IncrementalPlanner
@@ -29,9 +31,11 @@ from repro.batch.server import BatchServer
 from repro.sim.kernel import SimulationKernel
 
 from oracles import profiles
-from oracles.profiles import cluster_on, make_profile, server_on, simulation_on
+from oracles.profiles import (
+    ArrayMode, ListProfile, cluster_on, make_profile, mode_of, server_on, simulation_on,
+)
 
-ENGINES = sorted(profiles.ENGINES)
+MODES = sorted(profiles.MODES)
 
 
 def breakpoints(profile):
@@ -39,41 +43,31 @@ def breakpoints(profile):
 
 
 # ---------------------------------------------------------------------- #
-# Engine selection                                                       #
+# One profile class                                                      #
 # ---------------------------------------------------------------------- #
-class TestEngineSelection:
-    def test_bare_cluster_runs_array(self):
-        cluster = ClusterState("c", 16)
-        assert isinstance(cluster.availability(0.0), ArrayProfile)
-        assert cluster.profile_engine == "array"
-
-    def test_policy_picks_the_engine(self):
-        fcfs = ClusterState("c", 16, policy=BatchPolicy.FCFS)
-        assert isinstance(fcfs.availability(0.0), AvailabilityProfile)
-        cbf = ClusterState("c", 16, policy=BatchPolicy.CBF)
-        assert isinstance(cbf.availability(0.0), ArrayProfile)
-
-    @pytest.mark.parametrize("policy,engine,cls", [
-        ("fcfs", "list", AvailabilityProfile),
-        ("cbf", "array", ArrayProfile),
-    ])
-    def test_server_reports_the_engine_it_built(self, policy, engine, cls):
+class TestOneProfileClass:
+    @pytest.mark.parametrize("policy", list(BatchPolicy))
+    def test_both_policies_build_the_one_class(self, policy):
         # perfbench records ``server.cluster.profile_engine`` per workload.
-        cluster = BatchServer(SimulationKernel(), "c", 16, policy=policy).cluster
-        assert cluster.profile_engine == engine
-        assert type(cluster._profile) is cls
-        assert type(cluster.availability(0.0)) is cls
+        server = BatchServer(SimulationKernel(), "c", 16, policy=policy)
+        cluster = server.cluster
+        assert cluster.profile_engine == AvailabilityProfile.__name__
+        assert type(cluster._profile) is AvailabilityProfile
+        assert type(cluster.availability(0.0)) is AvailabilityProfile
+        assert type(server._planner.residual) is AvailabilityProfile
 
     def test_profile_engine_is_read_only(self):
         with pytest.raises(AttributeError):
             ClusterState("c", 16).profile_engine = "list"
 
-    @pytest.mark.parametrize("policy", list(BatchPolicy))
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_oracle_swap_reports_the_swapped_engine(self, engine, policy):
-        cluster = profiles.use_engine(ClusterState("c", 16, policy=policy), engine)
-        assert cluster.profile_engine == engine
-        assert type(cluster.availability(0.0)) is profiles.ENGINES[engine]
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pinned_cluster_hands_out_pinned_copies(self, mode):
+        cluster = cluster_on(mode, "c", 16)
+        assert cluster.profile_engine == AvailabilityProfile.__name__
+        copy = cluster.availability(0.0)
+        assert type(copy) is profiles.MODES[mode]
+        assert isinstance(copy, AvailabilityProfile)
+        assert mode_of(copy) == mode
 
 
 # ---------------------------------------------------------------------- #
@@ -81,16 +75,16 @@ class TestEngineSelection:
 # ---------------------------------------------------------------------- #
 class TestArrayMechanics:
     def test_growth_past_initial_capacity(self):
-        profile = ArrayProfile(1000, start_time=0.0)
+        profile = ArrayMode(1000, start_time=0.0)
         for i in range(200):  # way past the initial backing capacity
             profile.subtract(float(2 * i + 1), float(2 * i + 2), 1)
-        reference = AvailabilityProfile(1000, start_time=0.0)
+        reference = ListProfile(1000, start_time=0.0)
         for i in range(200):
             reference.subtract(float(2 * i + 1), float(2 * i + 2), 1)
         assert breakpoints(profile) == breakpoints(reference)
 
     def test_copy_is_independent(self):
-        profile = ArrayProfile(8)
+        profile = ArrayMode(8)
         profile.subtract(1.0, 2.0, 3)
         clone = profile.copy()
         clone.subtract(1.0, 2.0, 5)
@@ -98,7 +92,7 @@ class TestArrayMechanics:
         assert clone.free_at(1.5) == 0
 
     def test_copy_absorbs_live_mutations(self):
-        profile = ArrayProfile(8)
+        profile = ArrayMode(8)
         profile.subtract(1.0, 5.0, 2)
         before = breakpoints(profile)
         clone = profile.copy()
@@ -109,13 +103,13 @@ class TestArrayMechanics:
         assert breakpoints(profile) == before
         assert profile.total_procs == 8
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_release_many_equals_sequential_adds(self, engine):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_release_many_equals_sequential_adds(self, mode):
         rng = random.Random(5)
         for _ in range(50):
             cap = rng.randint(2, 32)
-            bulk = make_profile(engine, cap)
-            sequential = make_profile(engine, cap)
+            bulk = make_profile(mode, cap)
+            sequential = make_profile(mode, cap)
             reservations = []
             for _ in range(rng.randint(1, 12)):
                 procs = rng.randint(1, cap)
@@ -133,29 +127,51 @@ class TestArrayMechanics:
             sequential.compact()
             assert breakpoints(bulk) == breakpoints(sequential)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_release_many_empty_batch_compacts(self, engine):
-        profile = make_profile(engine, 8)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_release_many_empty_batch_compacts(self, mode):
+        profile = make_profile(mode, 8)
         profile.subtract(1.0, 2.0, 3)
         profile.add(1.0, 2.0, 3)  # leaves redundant breakpoints behind
         profile.release_many([])
         assert breakpoints(profile) == [(0.0, 8)]
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_release_many_rejects_nonpositive_procs(self, engine):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_release_many_rejects_nonpositive_procs(self, mode):
         with pytest.raises(ValueError, match="procs must be positive"):
-            make_profile(engine, 8).release_many([(0.0, 1.0, 0)])
+            make_profile(mode, 8).release_many([(0.0, 1.0, 0)])
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_release_many_overflow(self, engine):
-        profile = make_profile(engine, 8)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_release_many_overflow(self, mode):
+        profile = make_profile(mode, 8)
         with pytest.raises(ProfileError, match="exceeds capacity"):
             profile.release_many([(0.0, 1.0, 1)])
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_earliest_slot_many_matches_scalar(self, engine):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_release_many_fails_like_the_reference(self, mode):
+        # A rejected batch raises the error of the first reservation the
+        # reference rejects and leaves the reference's partial state.
+        batches = [
+            [(1.0, 3.0, 2), (2.0, 6.0, 5), (0.0, 9.0, 1)],
+            [(1.0, 3.0, 2), (4.0, 4.0, 1)],
+            [(1.0, 3.0, 2), (5.0, 6.0, 0)],
+        ]
+        for batch in batches:
+            profile, reference = make_profile(mode, 8), ListProfile(8)
+            for target in (profile, reference):
+                target.subtract(1.0, 3.0, 2)
+                target.subtract(2.0, 6.0, 2)
+            errors = []
+            for target in (profile, reference):
+                with pytest.raises(ValueError) as excinfo:
+                    target.release_many(batch)
+                errors.append((type(excinfo.value), str(excinfo.value)))
+            assert errors[0] == errors[1]
+            assert breakpoints(profile) == breakpoints(reference)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_earliest_slot_many_matches_scalar(self, mode):
         rng = random.Random(9)
-        profile = make_profile(engine, 32)
+        profile = make_profile(mode, 32)
         for _ in range(40):
             procs = rng.randint(1, 32)
             start = rng.random() * 100
@@ -169,13 +185,13 @@ class TestArrayMechanics:
         want = [profile.earliest_slot(p, d, 3.0) for p, d in zip(procs, durations)]
         assert got == want
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_earliest_slot_many_length_mismatch(self, engine):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_earliest_slot_many_length_mismatch(self, mode):
         with pytest.raises(ValueError, match="same length"):
-            make_profile(engine, 8).earliest_slot_many([1], [1.0, 2.0], 0.0)
+            make_profile(mode, 8).earliest_slot_many([1], [1.0, 2.0], 0.0)
 
     def test_min_free_over_matches_list_engine(self):
-        array, lst = ArrayProfile(16), AvailabilityProfile(16)
+        array, lst = ArrayMode(16), ListProfile(16)
         for profile in (array, lst):
             profile.subtract(2.0, 6.0, 5)
             profile.subtract(4.0, 9.0, 7)
@@ -186,7 +202,7 @@ class TestArrayMechanics:
         ]
 
     def test_error_messages_match_list_engine(self):
-        array, lst = ArrayProfile(4), AvailabilityProfile(4)
+        array, lst = ArrayMode(4), ListProfile(4)
         for profile in (array, lst):
             profile.subtract(1.0, 2.0, 4)
         errors = []
@@ -198,8 +214,8 @@ class TestArrayMechanics:
 
     def test_failed_add_leaves_identical_state(self):
         # The list engine releases segments up to the first overflow before
-        # raising; the array engine must mirror that failure state exactly.
-        array, lst = ArrayProfile(4), AvailabilityProfile(4)
+        # raising; array storage must mirror that failure state exactly.
+        array, lst = ArrayMode(4), ListProfile(4)
         for profile in (array, lst):
             profile.subtract(5.0, 8.0, 2)
             with pytest.raises(ProfileError, match="exceeds capacity"):
@@ -208,12 +224,12 @@ class TestArrayMechanics:
 
 
 # ---------------------------------------------------------------------- #
-# Edge cases, pinned on BOTH engines                                     #
+# Edge cases, pinned in BOTH storages                                    #
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("mode", MODES)
 class TestEngineEdgeCases:
-    def test_zero_capacity_after_shrink(self, engine):
-        profile = make_profile(engine, 8)
+    def test_zero_capacity_after_shrink(self, mode):
+        profile = make_profile(mode, 8)
         profile.subtract(2.0, 4.0, 3)
         profile.add(2.0, 4.0, 3)
         profile.compact()
@@ -224,8 +240,8 @@ class TestEngineEdgeCases:
         assert profile.earliest_slot(1, 10.0, 1.0) == math.inf
         assert profile.min_free_over(1.0, math.inf) == 0
 
-    def test_zero_duration_queries(self, engine):
-        profile = make_profile(engine, 8)
+    def test_zero_duration_queries(self, mode):
+        profile = make_profile(mode, 8)
         profile.subtract(2.0, 4.0, 8)  # fully blocked on [2, 4)
         # A zero-length window fits wherever an instant has enough procs.
         assert profile.earliest_slot(1, 0.0, 0.0) == 0.0
@@ -233,8 +249,8 @@ class TestEngineEdgeCases:
         assert profile.earliest_slot(8, 0.0, 3.0) == 4.0
         assert profile.earliest_slot(1, 0.0, 5.0) == 5.0
 
-    def test_reservation_ending_exactly_on_breakpoint(self, engine):
-        profile = make_profile(engine, 8)
+    def test_reservation_ending_exactly_on_breakpoint(self, mode):
+        profile = make_profile(mode, 8)
         profile.subtract(2.0, 4.0, 5)
         # Ends exactly at the existing breakpoint 4.0: no new breakpoint,
         # and the [2, 4) segment absorbs both reservations.
@@ -247,24 +263,24 @@ class TestEngineEdgeCases:
         assert profile.free_at(4.0) == 0
         assert profile.free_at(5.0) == 8
 
-    def test_advance_past_final_breakpoint(self, engine):
-        profile = make_profile(engine, 8)
+    def test_advance_past_final_breakpoint(self, mode):
+        profile = make_profile(mode, 8)
         profile.subtract(2.0, 4.0, 5)
         profile.advance(10.0)
         assert profile.start_time == 10.0
         assert breakpoints(profile) == [(10.0, 8)]
         assert profile.earliest_slot(8, 1.0, 0.0) == 10.0
 
-    def test_advance_onto_breakpoint_merges_once(self, engine):
-        profile = make_profile(engine, 8)
+    def test_advance_onto_breakpoint_merges_once(self, mode):
+        profile = make_profile(mode, 8)
         profile.subtract(2.0, 4.0, 5)
         profile.advance(2.0)
         assert breakpoints(profile) == [(2.0, 3), (4.0, 8)]
         profile.advance(4.0)
         assert breakpoints(profile) == [(4.0, 8)]
 
-    def test_subtract_before_left_edge_extends(self, engine):
-        profile = make_profile(engine, 8, start_time=5.0)
+    def test_subtract_before_left_edge_extends(self, mode):
+        profile = make_profile(mode, 8, start_time=5.0)
         profile.subtract(2.0, 7.0, 3)
         assert profile.free_at(3.0) == 5
         assert profile.free_at(6.0) == 5
@@ -279,8 +295,8 @@ class TestRandomizedDifferential:
         rng = random.Random(20100326)
         for _ in range(40):
             cap = rng.randint(1, 48)
-            oracle = AvailabilityProfile(cap, 0.0)
-            array = ArrayProfile(cap, 0.0)
+            oracle = ListProfile(cap, 0.0)
+            array = ArrayMode(cap, 0.0)
             now = 0.0
             for _ in range(50):
                 op = rng.random()
@@ -317,12 +333,12 @@ class TestRandomizedDifferential:
     def test_planner_script(self, policy):
         rng = random.Random(42)
         clusters = {
-            engine: cluster_on(engine, "c", 48, 1.0)
-            for engine in ENGINES
+            mode: cluster_on(mode, "c", 48, 1.0)
+            for mode in MODES
         }
         planners = {
-            engine: IncrementalPlanner(policy, cluster)
-            for engine, cluster in clusters.items()
+            mode: IncrementalPlanner(policy, cluster)
+            for mode, cluster in clusters.items()
         }
         jobs = [
             Job(job_id=i, submit_time=0.0, procs=rng.randint(1, 32),
@@ -340,23 +356,23 @@ class TestRandomizedDifferential:
                 planner.submit(job, 0.0)
             probes = jobs[:8]
             estimates = {
-                engine: planner.estimate_many(probes)
-                for engine, planner in planners.items()
+                mode: planner.estimate_many(probes)
+                for mode, planner in planners.items()
             }
             assert estimates["array"] == estimates["list"]
             plans = {
-                engine: {
+                mode: {
                     (e.job_id, e.planned_start, e.planned_end, e.procs)
                     for e in planner.cluster_plan()
                 }
-                for engine, planner in planners.items()
+                for mode, planner in planners.items()
             }
             assert plans["array"] == plans["list"]
 
     @pytest.mark.parametrize("policy", [BatchPolicy.FCFS, BatchPolicy.CBF])
     def test_single_query_estimates_match_the_batch(self, policy):
         # A lone hypothetical placement takes the scalar earliest_slot; it
-        # must equal its entry in a batched query on both engines.
+        # must equal its entry in a batched query in both storages.
         rng = random.Random(7)
         jobs = [
             Job(job_id=i, submit_time=0.0, procs=rng.randint(1, 40),
@@ -366,9 +382,9 @@ class TestRandomizedDifferential:
         ]
         probes = jobs[40:] + jobs[:5]  # foreign jobs, then waiting ones
         results = {}
-        for engine in ENGINES:
+        for mode in MODES:
             planner = IncrementalPlanner(
-                policy, cluster_on(engine, "c", 48, 1.3)
+                policy, cluster_on(mode, "c", 48, 1.3)
             )
             for job in jobs[:40]:
                 planner.submit(job, 0.0)
@@ -377,15 +393,15 @@ class TestRandomizedDifferential:
             batched = planner.estimate_many(probes)
             single = [planner.estimate_many([probe])[0] for probe in probes]
             assert single == batched
-            results[engine] = batched
+            results[mode] = batched
         assert results["array"] == results["list"]
         assert any(math.isfinite(value) for value in results["list"])
 
     def test_server_script_with_capacity_changes(self):
         results = {}
-        for engine in ENGINES:
+        for mode in MODES:
             kernel = SimulationKernel()
-            server = server_on(engine, kernel, "c", 32, 1.0, policy="cbf")
+            server = server_on(mode, kernel, "c", 32, 1.0, policy="cbf")
             rng = random.Random(99)
             jobs = [
                 Job(job_id=i, submit_time=float(i % 7), procs=rng.randint(1, 16),
@@ -401,12 +417,12 @@ class TestRandomizedDifferential:
             log.append(server.estimate_completion_many(jobs))
             kernel.run(until=500.0)
             log.append(server.estimate_completion_many(jobs))
-            results[engine] = log
+            results[mode] = log
         assert results["array"] == results["list"]
 
 
 # ---------------------------------------------------------------------- #
-# End-to-end: whole simulations agree across engines                     #
+# End-to-end: whole simulations agree across storages                    #
 # ---------------------------------------------------------------------- #
 class TestEndToEndEquality:
     def test_grid_simulation_identical_run_results(self):
@@ -421,7 +437,7 @@ class TestEndToEndEquality:
             scale=bench_scale("jan", 40),
         )
         results = {}
-        for engine in ENGINES:
+        for mode in profiles.PROFILES:
             simulation = GridSimulation(
                 experiment_platform(config),
                 fresh_workload(config),
@@ -430,11 +446,12 @@ class TestEndToEndEquality:
                 heuristic=config.heuristic,
                 mapping_seed=config.seed,
             )
-            results[engine] = simulation_on(engine, simulation).run()
-        array, lst = results["array"], results["list"]
-        assert array.makespan == lst.makespan
-        assert array.total_reallocations == lst.total_reallocations
-        assert array.reallocation_events == lst.reallocation_events
-        assert len(array.records) == len(lst.records)
-        for job_id, record in array.records.items():
-            assert record == lst.records[job_id], f"job {job_id} diverged"
+            results[mode] = simulation_on(mode, simulation).run()
+        reference = results.pop("reference")
+        for mode, result in results.items():
+            assert result.makespan == reference.makespan, mode
+            assert result.total_reallocations == reference.total_reallocations, mode
+            assert result.reallocation_events == reference.reallocation_events, mode
+            assert len(result.records) == len(reference.records), mode
+            for job_id, record in result.records.items():
+                assert record == reference.records[job_id], f"{mode}: job {job_id} diverged"

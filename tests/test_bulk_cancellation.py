@@ -16,7 +16,7 @@ started and cancelled sets, the server counters, every job's state and
 cluster, and the pending completion events (time and scheduling
 sequence).  The follow-on resubmission plans and residual profiles must
 then be float-identical, and the rest of the run must start and complete
-the same jobs at the same times.  FCFS and CBF, both profile engines,
+the same jobs at the same times.  FCFS and CBF, both profile storages,
 static and outage platforms, ticks before and after the same-timestamp
 completions, and the counter-example to the one-pass "fits against
 running plus started-so-far" rule are covered.

@@ -501,7 +501,7 @@ class TestBenchCheck:
 
 
 class TestNoProfileEngineOption:
-    # The profile engine follows the batch policy; there is no flag.
+    # The availability profile picks its own storage; there is no flag.
     @pytest.mark.parametrize("command", [
         ["campaign", "status", "--sweep", "threshold-grid"],
         ["serve", "--clock", "virtual"],

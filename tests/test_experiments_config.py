@@ -124,7 +124,7 @@ class TestSweepConfig:
 
 
 class TestLegacyProfileEngineKey:
-    """Configurations no longer carry a profile engine (it follows the policy).
+    """Configurations no longer carry a profile engine (the profile picks its storage).
 
     Older versions recorded ``profile_engine`` in ``to_dict`` for an
     explicit engine request; reading such a document must still work.

@@ -8,7 +8,7 @@ the horizon (the end of the released window, raised by the old and new
 ends of every entry that moved); from there the old entries are kept and
 the residual is patched from the old one.
 
-These tests replay seeded random FCFS worlds — list and array engines,
+These tests replay seeded random FCFS worlds — list and array storage,
 static and outage platforms, times on a coarse grid so that early and
 walltime-boundary completions share timestamps — and after *every*
 completion compare the plan entries (exact floats) and the compacted

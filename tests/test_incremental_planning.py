@@ -30,6 +30,8 @@ from repro.batch.policies import BatchPolicy, plan_cbf, plan_fcfs
 from repro.sim.kernel import SimulationKernel
 from tests.conftest import make_job, make_server
 
+from oracles.profiles import use_server_mode
+
 # Random rigid jobs: submit time, procs, runtime, walltime factor.
 job_spec = st.tuples(
     st.floats(0.0, 5000.0),
@@ -262,11 +264,12 @@ class TestSuffixBehaviour:
         assert all(a is b for a, b in zip(entries_after[:2], entries_before[:2]))
         assert_matches_reference(server, PROBES)
 
+    @pytest.mark.parametrize("mode", ["list", "array"])
     @pytest.mark.parametrize("policy", ["fcfs", "cbf"])
-    def test_restore_suffix_restores_base_profile(self, kernel, policy):
-        # FCFS runs the list engine and CBF the array engine, so both
-        # release_many implementations are held to the rebuilt profile.
-        server = make_server(kernel, procs=8, policy=policy)
+    def test_restore_suffix_restores_base_profile(self, kernel, policy, mode):
+        # Pinned to each storage, so both release_many implementations
+        # are held to the rebuilt profile.
+        server = use_server_mode(make_server(kernel, procs=8, policy=policy), mode)
         server.submit(make_job(1, procs=8, runtime=300.0, walltime=400.0))
         for job_id in (2, 3, 4):
             server.submit(make_job(job_id, procs=3, runtime=50.0, walltime=100.0))
