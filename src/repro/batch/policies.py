@@ -225,10 +225,10 @@ class IncrementalPlanner:
         (respecting the FCFS frontier when the policy keeps queue order)
         against the live residual profile, which is never mutated.  The
         hypothetical placements go through one ``earliest_slot_many``
-        call — in array storage the open-run structure of the residual
-        is built once per distinct processor count instead of once per
-        job — with results float-identical to per-job ``earliest_slot``
-        queries.  The
+        call — in array storage one table of the residual's open runs
+        serves every distinct processor count of the batch, and all
+        jobs are resolved against it at once — with results
+        float-identical to per-job ``earliest_slot`` queries.  The
         whole-queue plan lookup is only materialised when a queried job
         is waiting here, and a lone hypothetical placement takes the
         scalar ``earliest_slot``.

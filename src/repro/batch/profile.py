@@ -30,12 +30,11 @@ breakpoints in one of two storages and moves between them on its own:
   lists walked segment by segment, O(log B + segments visited) per search
   with no fixed per-call overhead;
 * **array storage** (the private ``_ArrayMode`` subclass) — two
-  capacity-doubling NumPy arrays searched with array primitives (open-run
-  starts from a blocked mask, next blocking time per run via
-  ``searchsorted``), a fixed ~10 µs per search whatever its length, plus
-  a batched :meth:`~AvailabilityProfile.earliest_slot_many` that builds
-  the open-run structure once per distinct processor count and an
-  O(reservations + breakpoints) :meth:`~AvailabilityProfile.release_many`.
+  capacity-doubling NumPy arrays searched by exact kernels: a placement
+  is one edge pass over the blocked mask and one comparison per run of
+  open segments; an estimate batch builds one run table for all its
+  processor counts and resolves every query in one 2-D comparison;
+  :meth:`~AvailabilityProfile.release_many` is O(reservations + breakpoints).
 
 Every search with a positive duration reports how many segments it
 visited (the index where a segment walk over the profile would stop: the
@@ -74,6 +73,9 @@ _LONG_SCAN = 64
 #: ... and the score of long minus short searches moves list storage to
 #: arrays at this value and array storage back to lists at 0.
 _SWITCH_AFTER = 8
+#: Element budget of every temporary of a batched array-storage search
+#: (128 KB of float64: larger blocks measured ~4x slower per element).
+_CELLS = 1 << 14
 
 
 class ProfileError(ValueError):
@@ -673,8 +675,11 @@ class _ArrayMode(AvailabilityProfile):
     def earliest_slot(self, procs: int, duration: float, earliest: float) -> float:
         """Earliest ``t >= earliest`` with ``procs`` free during ``[t, t+duration)``.
 
-        Vectorised: open-run starts from a blocked mask, the next blocking
-        time per run via ``searchsorted``, one comparison per candidate.
+        One edge pass over the suffix entered at ``earliest``: the
+        segments where the blocked state flips alternate between run
+        starts and blocking points, read by parity from the first
+        segment's state, and one comparison per run decides (see
+        :meth:`earliest_slot_many` for why that is exact).
         """
         if procs > self.total_procs:
             return math.inf
@@ -682,26 +687,31 @@ class _ArrayMode(AvailabilityProfile):
             raise ValueError(f"procs must be positive, got {procs}")
         n = self._size
         times = self._times[:n]
-        free = self._free[:n]
-        earliest = max(earliest, float(times[0]))
+        earliest = float(max(earliest, times[0]))
         idx = int(times.searchsorted(earliest, side="right")) - 1
         suffix_times = times[idx:]
+        blocked = self._free[idx:n] < procs
         if duration <= 0:
-            # A zero-length reservation only needs an instant with enough
-            # free processors: the first segment at/after `earliest` that
-            # fits.
-            open_mask = free[idx:] >= procs
-            k = int(open_mask.argmax())
-            if not open_mask[k]:
+            # A zero-length reservation fits in the first open segment.
+            k = int(blocked.argmin())
+            if blocked[k]:
                 return math.inf
-            return max(earliest, float(times[idx + k]))
+            return max(earliest, float(suffix_times[k]))
+        # bounds = [start0, block0, start1, block1, ...]; a first open run
+        # starts at `earliest`, and the last run may never be blocked.
+        edges = np.flatnonzero(blocked[1:] != blocked[:-1])
+        first_open = not blocked[0]
+        runs = (edges.size + first_open + 1) // 2
         start = math.inf
-        candidates, block_times = self._open_runs(suffix_times, free[idx:], procs, earliest)
-        if candidates is not None:
-            feasible = candidates + duration <= block_times
-            k = int(feasible.argmax())
-            if feasible[k]:
-                start = float(candidates[k])
+        if runs:
+            bounds = np.full(2 * runs, math.inf)
+            bounds[first_open : first_open + edges.size] = suffix_times[edges + 1]
+            if first_open:
+                bounds[0] = earliest
+            fits = bounds[0::2] + duration <= bounds[1::2]
+            k = int(fits.argmax())
+            if fits[k]:
+                start = float(bounds[2 * k])
         # The walk would visit more than _LONG_SCAN segments exactly when
         # the breakpoint that many segments in lies before the window's end.
         if n - idx > _LONG_SCAN and start + duration > suffix_times[_LONG_SCAN]:
@@ -713,97 +723,116 @@ class _ArrayMode(AvailabilityProfile):
                 self._to_list()
         return start
 
-    @staticmethod
-    def _open_runs(times, free, procs, earliest):
-        """Candidate starts and their next blocking times for one ``procs``.
-
-        ``times``/``free`` are the suffix views entered at ``earliest``.
-        A *candidate* is where the segment walk would test a window: the
-        clamped start of each maximal run of segments with enough free
-        processors.  The window at a candidate succeeds exactly when the
-        next blocking segment starts at or after its end, so the pair of
-        arrays reduces every feasibility test to one comparison.
-        Returns ``(None, None)`` when no open run exists.
-        """
-        blocked = free < procs
-        open_starts = np.flatnonzero(
-            ~blocked & np.concatenate(([True], blocked[:-1]))
-        )
-        if open_starts.size == 0:
-            return None, None
-        candidates = np.maximum(earliest, times[open_starts])
-        blocked_idx = np.flatnonzero(blocked)
-        if blocked_idx.size:
-            pos = np.searchsorted(blocked_idx, open_starts)
-            safe = np.minimum(pos, blocked_idx.size - 1)
-            block_times = np.where(
-                pos < blocked_idx.size, times[blocked_idx[safe]], math.inf
-            )
-        else:
-            block_times = np.full(open_starts.shape, math.inf)
-        return candidates, block_times
-
     def earliest_slot_many(
         self, procs: Sequence[int], durations: Sequence[float], earliest: float
     ) -> List[float]:
         """Batched :meth:`earliest_slot` for queries sharing one ``earliest``.
 
-        The open-run structure is built once per distinct processor count
-        (ECT storms ask about many jobs over few distinct sizes), after
-        which each query is one vectorised feasibility comparison over its
-        candidate list.  Every query with a positive duration is one
-        search for the storage rule; the batch moves the score by its long
-        minus its short searches at once.
+        Per processor count, a *run* is a maximal stretch of open segments
+        of the suffix entered at ``earliest``: its candidate is its start
+        clamped to ``earliest``, its blocking time the start of the next
+        blocked segment (``inf`` at the end).  One blocked mask (counts ×
+        suffix, a blocked column on either side) flips at every run start
+        and blocking segment; one ``flatnonzero`` lists them row by row,
+        alternating.  A (counts × runs) table of candidates and blocking
+        times (``-inf`` padding) resolves every query by ``cand + d <=
+        block`` and ``argmax``; temporaries stay within ``_CELLS``
+        elements in the count and the query dimension.
+
+        *Exactness.*  The list walk tests exactly the run candidates, in
+        order, with the same float64 sum against the same blocking time.
+        Rounding is monotone, so a later segment of a run never fits
+        where the run's start did not: the first feasible open segment is
+        always a run start.  Each positive-duration query is one search
+        for the storage rule (the batch moves the score once);
+        zero-length and oversized queries do not count.
         """
         if len(procs) != len(durations):
             raise ValueError("procs and durations must have the same length")
-        out: List[float] = [math.inf] * len(procs)
         if not procs:
-            return out
-        n = self._size
-        times = self._times[:n]
-        free = self._free[:n]
-        total = self.total_procs
-        clamped = max(earliest, float(times[0]))
-        idx = int(np.searchsorted(times, clamped, side="right")) - 1
-        suffix_times = times[idx:]
-        suffix_free = free[idx:]
-        # A window ending past this breakpoint is a long search (see
-        # earliest_slot); an infinite start is one whenever it exists.
-        long_end = (
-            float(suffix_times[_LONG_SCAN]) if suffix_times.shape[0] > _LONG_SCAN else math.inf
-        )
-        searched = longs = 0
-        by_procs: dict = {}
-        for position, p in enumerate(procs):
-            by_procs.setdefault(int(p), []).append(position)
-        for p, positions in by_procs.items():
-            if p <= 0:
-                raise ValueError(f"procs must be positive, got {p}")
-            if p > total:
-                continue  # stays inf
-            structure = None
-            for position in positions:
-                duration = durations[position]
-                if duration <= 0:
-                    out[position] = self.earliest_slot(p, duration, earliest)
-                    continue
-                searched += 1
-                if structure is None:
-                    structure = self._open_runs(suffix_times, suffix_free, p, clamped)
-                candidates, block_times = structure
-                if candidates is not None:
-                    feasible = candidates + duration <= block_times
-                    k = int(feasible.argmax())
-                    if feasible[k]:
-                        out[position] = float(candidates[k])
-                if out[position] + duration > long_end:
-                    longs += 1
-        if searched:
-            self._score = min(self._score + 2 * longs - searched, _SWITCH_AFTER)
+            return []
+        sizes = np.asarray(procs, dtype=np.int64)
+        bad = np.flatnonzero(sizes <= 0)
+        if bad.size:
+            raise ValueError(f"procs must be positive, got {int(sizes[bad[0]])}")
+        lengths = np.asarray(durations, dtype=np.float64)
+        fitting = sizes <= self.total_procs
+        query = np.flatnonzero(fitting & ~(lengths <= 0))
+        out = np.full(sizes.shape[0], math.inf)
+        if query.size:
+            n = self._size
+            times = self._times[:n]
+            clamped = max(earliest, float(times[0]))
+            idx = int(times.searchsorted(clamped, side="right")) - 1
+            suffix_times = times[idx:]
+            searched = lengths[query]
+            starts = self._resolve(
+                suffix_times, self._free[idx:n], clamped, sizes[query], searched
+            )
+            out[query] = starts
+            # A window ending past this breakpoint is a long search (see
+            # earliest_slot); an infinite start is one whenever it exists.
+            longs = 0
+            if suffix_times.shape[0] > _LONG_SCAN:
+                longs = int(np.count_nonzero(starts + searched > suffix_times[_LONG_SCAN]))
+            self._score = min(self._score + 2 * longs - query.size, _SWITCH_AFTER)
             if self._score <= 0:
                 self._to_list()
-        return out
+        result = out.tolist()
+        for position in np.flatnonzero(fitting & (lengths <= 0)).tolist():
+            result[position] = self.earliest_slot(
+                int(sizes[position]), durations[position], earliest
+            )
+        return result
+
+    @staticmethod
+    def _resolve(times, free, clamped, sizes, lengths):
+        """Earliest starts on the suffix entered at ``clamped`` (see
+        :meth:`earliest_slot_many`); sizes fit, lengths are positive."""
+        # Sorted by size, the queries of one count (one table row) are contiguous.
+        order = np.argsort(sizes, kind="stable")
+        ordered = sizes[order]
+        new = np.append(True, ordered[1:] != ordered[:-1])
+        counts = ordered[new]
+        rows = np.cumsum(new) - 1
+        first_query = np.append(np.flatnonzero(new), ordered.size)
+        flips_per_row = times.shape[0] + 1
+        block_times = np.append(times, math.inf)
+        starts = np.full(sizes.shape[0], math.inf)
+        step = max(1, _CELLS // (flips_per_row + 1))
+        for first in range(0, counts.size, step):
+            last = min(first + step, counts.size)
+            height = last - first
+            # Blocked mask with a blocked column on either side: each row's
+            # flips pair up as (run start, segment blocking the run).
+            blocked = np.ones((height, flips_per_row + 1), dtype=bool)
+            np.less(free, counts[first:last, None], out=blocked[:, 1:-1])
+            flips = np.flatnonzero(blocked[:, 1:] != blocked[:, :-1])
+            if not flips.size:
+                continue  # no count of this chunk ever fits: all inf
+            run_rows = flips[0::2] // flips_per_row
+            row_base = run_rows * flips_per_row
+            per_row = np.bincount(run_rows, minlength=height)
+            width = int(per_row.max())
+            # Flat (row, rank within the row) slot of every run in the table.
+            shift = np.arange(height) * width - (np.cumsum(per_row) - per_row)
+            slot = np.arange(run_rows.size) + shift[run_rows]
+            cand = np.zeros(height * width)
+            block = np.full(height * width, -math.inf)
+            cand[slot] = np.maximum(clamped, times[flips[0::2] - row_base])
+            block[slot] = block_times[flips[1::2] - row_base]
+            cand = cand.reshape(height, width)
+            block = block.reshape(height, width)
+            span = max(1, _CELLS // width)
+            for lo in range(first_query[first], first_query[last], span):
+                hi = min(lo + span, first_query[last])
+                row = rows[lo:hi] - first
+                picked = order[lo:hi]
+                row_cand = cand[row]
+                fits = row_cand + lengths[picked, None] <= block[row]
+                hit = np.arange(hi - lo), fits.argmax(axis=1)
+                starts[picked] = np.where(fits[hit], row_cand[hit], math.inf)
+        return starts
 
     # ------------------------------------------------------------------ #
     # Construction helpers                                               #

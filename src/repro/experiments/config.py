@@ -16,6 +16,7 @@ load of each scenario.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
@@ -117,6 +118,15 @@ class ExperimentConfig:
     outage_script: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # One canonical form (and store key) per equal configuration:
+        # ``3600 == 3600.0`` and ``-0.0 == 0.0`` but serialise differently.
+        if not (type(self.heterogeneous) is bool and type(self.seed) is int
+                and type(self.scale) is type(self.reallocation_period) is float
+                and type(self.reallocation_threshold) is float and self.reallocation_threshold):
+            object.__setattr__(self, "heterogeneous", bool(self.heterogeneous))
+            object.__setattr__(self, "seed", operator.index(self.seed))
+            for name in ("scale", "reallocation_period", "reallocation_threshold"):
+                object.__setattr__(self, name, float(getattr(self, name)) + 0.0)
         if self.scenario not in SCENARIO_NAMES:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIO_NAMES}"

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
+import numpy as np
 import pytest
 
 from repro.core.heuristics import HEURISTIC_NAMES
@@ -15,7 +17,7 @@ from repro.experiments.config import (
     SweepConfig,
     bench_scale,
 )
-from repro.experiments.sweeps import get_sweep
+from repro.experiments.sweeps import SWEEP_REGISTRY, get_sweep
 from repro.store import config_key
 from repro.workload.scenarios import SCENARIO_NAMES, get_scenario
 
@@ -82,6 +84,51 @@ class TestExperimentConfig:
         b = ExperimentConfig(scenario="jan", scale=0.01)
         assert a == b
         assert len({a, b}) == 1
+
+
+class TestCanonicalForm:
+    """Configurations that compare equal serialise alike, so they share a store key.
+
+    ``plan_units`` merges equal configurations into one unit; without one
+    canonical form the store would keep them under two keys.  The pinned
+    digests of :class:`TestStoreKeysPinned` show the normalisation leaves
+    every built-in configuration's key as it was.
+    """
+
+    @pytest.mark.parametrize("kwargs", [
+        {"reallocation_period": 3600},
+        {"reallocation_threshold": 60},
+        {"heterogeneous": 0},
+        {"seed": np.int64(20100326)},
+        {"scale": np.float64(0.02)},
+        {"reallocation_period": np.float32(3600.0)},
+    ])
+    def test_equal_configs_share_one_key(self, kwargs):
+        plain = ExperimentConfig(scenario="jan", algorithm="standard")
+        variant = ExperimentConfig(scenario="jan", algorithm="standard", **kwargs)
+        assert variant == plain and hash(variant) == hash(plain)
+        assert config_key(variant) == config_key(plain)
+        assert plan_units([plain, variant]) == plan_units([plain])
+
+    def test_negative_zero_threshold_is_zero(self):
+        zero = ExperimentConfig(scenario="jan", reallocation_threshold=0.0)
+        negative = ExperimentConfig(scenario="jan", reallocation_threshold=-0.0)
+        assert config_key(negative) == config_key(zero)
+        assert math.copysign(1.0, negative.reallocation_threshold) == 1.0
+
+    def test_fields_take_their_canonical_types(self):
+        config = ExperimentConfig(
+            scenario="jan", heterogeneous=1, seed=np.int32(7), scale=1,
+            reallocation_period=900, reallocation_threshold=0,
+        )
+        assert (type(config.heterogeneous), type(config.seed)) == (bool, int)
+        assert {type(config.scale), type(config.reallocation_period),
+                type(config.reallocation_threshold)} == {float}
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+    def test_a_non_integral_seed_is_rejected(self):
+        with pytest.raises(TypeError):
+            ExperimentConfig(scenario="jan", seed=1.5)
 
 
 class TestSweepConfig:
@@ -185,6 +232,9 @@ class TestStoreKeysPinned:
     def test_paper_table_keys(self, algorithm, heterogeneous):
         sweep = SweepConfig(algorithm=algorithm, heterogeneous=heterogeneous)
         assert _units_digest(sweep.configs()) == self.PAPER[(algorithm, heterogeneous)]
+
+    def test_every_registered_sweep_is_pinned(self):
+        assert sorted(self.SWEEPS) == sorted(SWEEP_REGISTRY)
 
     @pytest.mark.parametrize("name", sorted(SWEEPS))
     def test_sweep_unit_keys(self, name):
