@@ -144,6 +144,12 @@ class IncrementalPlanner:
 
     Per-event cost:
 
+    * every event — an O(1) stale guard in :meth:`advance`: the plan's
+      ``floor`` (a lower bound on every planned start) is compared with
+      ``now``, and the exact earliest start is recomputed only when the
+      floor lies before ``now`` (after a job started or left the queue);
+    * every placement — one walk of the residual, which reserves the slot
+      it finds (:meth:`~repro.batch.schedule.IncrementalPlan.place`);
     * ``submit`` — one placement at the tail (the residual already ends
       where the reference planner would look);
     * ``cancel`` at queue position ``k`` — restore + re-place positions
@@ -279,13 +285,18 @@ class IncrementalPlanner:
         and every planned start is at or after ``now`` (jobs planned to
         start earlier were started by the pass at their slot).  The stale
         guard rebuilds from scratch if that invariant is ever violated.
+        It reads the plan's ``floor`` and only recomputes the exact
+        earliest planned start when the floor lies before ``now``; the
+        recomputed minimum becomes the new floor, so afterwards
+        ``plan.floor >= now`` always holds.
         """
         plan = self.plan
         if now == plan.now:
             return
-        stale = any(entry.planned_start < now for entry in plan.entries)
+        if plan.floor < now:
+            plan.floor = min([entry.planned_start for entry in plan.entries], default=math.inf)
         plan.advance(now)
-        if stale:  # pragma: no cover - defensive, violates the invariant
+        if plan.floor < now:  # a planned start that never started
             self.replan_all(now)
 
     def submit(self, job: Job, now: float) -> None:
@@ -383,6 +394,7 @@ class IncrementalPlanner:
         old_entries = plan.entries
         old_residual = plan.residual
         old_plan_frontier = plan.frontier()
+        old_floor = plan.floor
         plan.reset(self.cluster.availability(now), now)
         plan.frontier()  # seed the cache that ``place`` maintains
         horizon = walltime_end
@@ -392,7 +404,10 @@ class IncrementalPlanner:
         speed = self.speed
         for index, job in enumerate(self.jobs):
             if new_frontier == old_frontier >= horizon:
-                plan.splice(index, old_entries, old_residual, old_plan_frontier, release, reserve)
+                plan.splice(
+                    index, old_entries, old_residual, old_plan_frontier, old_floor,
+                    release, reserve,
+                )
                 return
             old = old_entries[index]
             new = plan.place(job.job_id, job.procs, job.walltime_on(speed), new_frontier)

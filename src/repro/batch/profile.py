@@ -28,13 +28,17 @@ breakpoints in one of two storages and moves between them on its own:
 
 * **list storage** (:class:`AvailabilityProfile` itself) — two Python
   lists walked segment by segment, O(log B + segments visited) per search
-  with no fixed per-call overhead;
+  with no fixed per-call overhead.  A planner's placement is one walk: the
+  private ``_place`` reserves the window its search has just proved free
+  at the indices the walk stopped at, instead of searching the window
+  again in :meth:`~AvailabilityProfile.subtract`;
 * **array storage** (the private ``_ArrayMode`` subclass) — two
   capacity-doubling NumPy arrays searched by exact kernels: a placement
   is one edge pass over the blocked mask and one comparison per run of
-  open segments; an estimate batch builds one run table for all its
-  processor counts and resolves every query in one 2-D comparison;
-  :meth:`~AvailabilityProfile.release_many` is O(reservations + breakpoints).
+  open segments, then the checked ``subtract``; an estimate batch builds
+  one run table for all its processor counts and resolves every query in
+  one 2-D comparison; :meth:`~AvailabilityProfile.release_many` is
+  O(reservations + breakpoints).
 
 Every search with a positive duration reports how many segments it
 visited (the index where a segment walk over the profile would stop: the
@@ -49,11 +53,11 @@ swaps ``__class__`` between the two storage classes, which share one slot
 layout, so no call ever goes through a wrapper.  Copies keep their
 storage and score.
 
-Both storages return float-identical results and keep identical
-breakpoints: free counts are integers, breakpoint times are only ever
-*copied* from inputs, compared or passed through ``max`` — never
-recomputed — and every feasibility comparison uses the same IEEE
-operations in the same order.  The list-only reference engine in
+Both storages return float-identical results (every start a ``float``)
+and keep identical breakpoints: free counts are integers, breakpoint
+times are only ever *copied* from inputs, compared or passed through
+``max`` — never recomputed — and every feasibility comparison uses the
+same IEEE operations in the same order.  The list-only reference engine in
 ``tests/oracles/profiles.py`` holds both storages, and every switch
 between them, to exact equality.
 """
@@ -320,6 +324,22 @@ class AvailabilityProfile:
         Returns ``math.inf`` when the request can never be satisfied (more
         processors than the cluster owns).
         """
+        return self._place(procs, duration, earliest, False)
+
+    def _place(self, procs: int, duration: float, earliest: float, reserve: bool = True) -> float:
+        """The walk of :meth:`earliest_slot`; with ``reserve``, also take the slot.
+
+        A reserving call has the same result, breakpoints, score and errors
+        as :meth:`earliest_slot` followed by :meth:`subtract` over ``[start,
+        start + duration)`` for a finite start, in one walk: the walk ends
+        knowing the window's first segment ``idx`` and its end ``scan`` (the
+        first breakpoint at or after the window's end), so the start and end
+        breakpoints go in at those indices and ``free[idx:scan]`` is
+        decremented, without the re-check's search.  Every segment there was
+        just proved to hold ``procs`` free; the decrement still refuses to go
+        below zero.  The reservation is made before the storage score moves,
+        so a walk that moves the breakpoints to arrays moves them reserved.
+        """
         if procs > self.total_procs:
             return math.inf
         if procs <= 0:
@@ -330,11 +350,14 @@ class AvailabilityProfile:
         earliest = max(earliest, times[0])
         if duration <= 0:
             # A zero-length reservation only needs an instant with enough
-            # free processors.
+            # free processors (reserving it fails like subtract).
             idx = bisect_right(times, earliest) - 1
             while idx < count:
                 if free[idx] >= procs:
-                    return max(earliest, times[idx])
+                    start = float(max(earliest, times[idx]))
+                    if reserve:
+                        self.subtract(start, start + duration, procs)
+                    return start
                 idx += 1
             return math.inf
 
@@ -368,7 +391,28 @@ class AvailabilityProfile:
                 candidate = math.inf
                 scan = count
                 break
-        if scan - first > _LONG_SCAN:
+        long_walk = scan - first > _LONG_SCAN
+        candidate = float(candidate)
+        if reserve and candidate != math.inf:
+            # The window covers segments idx..scan-1: times[idx] <= candidate
+            # and times[scan] >= end_needed (or scan == count).
+            if times[idx] != candidate:
+                idx += 1
+                scan += 1
+                times.insert(idx, candidate)
+                free.insert(idx, free[idx - 1])
+            if end_needed != math.inf and (scan == len(times) or times[scan] != end_needed):
+                times.insert(scan, end_needed)
+                free.insert(scan, free[scan - 1])
+            for i in range(idx, scan):
+                left = free[i] - procs
+                if left < 0:
+                    raise ProfileError(
+                        f"cannot reserve {procs} procs over [{candidate}, {end_needed}): "
+                        f"only {free[i]} free"
+                    )
+                free[i] = left
+        if long_walk:
             self._score += 1
             if self._score >= _SWITCH_AFTER:
                 self._to_array()
@@ -721,6 +765,13 @@ class _ArrayMode(AvailabilityProfile):
             self._score -= 1
             if self._score <= 0:
                 self._to_list()
+        return start
+
+    def _place(self, procs: int, duration: float, earliest: float) -> float:
+        """:meth:`earliest_slot`, then the checked :meth:`subtract` of a finite start."""
+        start = self.earliest_slot(procs, duration, earliest)
+        if math.isfinite(start):
+            self.subtract(start, start + duration, procs)
         return start
 
     def earliest_slot_many(

@@ -108,6 +108,12 @@ class IncrementalPlan:
         appends and what-if estimation queries need no replanning at all.
     ``now``
         Left edge of the residual; advanced lazily as simulated time moves.
+    ``floor``
+        A lower bound on every entry's ``planned_start`` (``inf`` when no
+        entry was placed since the last :meth:`reset`), kept in O(1) per
+        edit: :meth:`place` lowers it, removing entries leaves it valid,
+        :meth:`splice` takes the lower of the two plans' floors.  Callers
+        that need the exact minimum recompute it and store it back.
 
     The **dirty-suffix invariant** ties the two together: at every queue
     position ``k``, the profile the reference planner would see before
@@ -118,13 +124,16 @@ class IncrementalPlan:
     planned from scratch.
     """
 
-    __slots__ = ("cluster_name", "now", "entries", "residual", "_cached_plan", "_frontier")
+    __slots__ = (
+        "cluster_name", "now", "entries", "residual", "floor", "_cached_plan", "_frontier",
+    )
 
     def __init__(self, cluster_name: str, residual: AvailabilityProfile, now: float) -> None:
         self.cluster_name = cluster_name
         self.now = now
         self.entries: List[PlannedJob] = []
         self.residual = residual
+        self.floor = math.inf
         self._cached_plan: Optional[ClusterPlan] = None
         self._frontier: Optional[float] = None
 
@@ -178,15 +187,17 @@ class IncrementalPlan:
             self._frontier = now
 
     def place(self, job_id: int, procs: int, duration: float, earliest: float) -> PlannedJob:
-        """Place one job at the earliest slot of the residual and append it."""
-        start = self.residual.earliest_slot(procs, duration, earliest)
-        if math.isfinite(start):
-            end = start + duration
-            self.residual.subtract(start, end, procs)
-        else:
-            end = math.inf
+        """Place one job at the earliest slot of the residual and append it.
+
+        One walk of the residual finds the slot and reserves it
+        (:meth:`AvailabilityProfile._place`).
+        """
+        start = self.residual._place(procs, duration, earliest)
+        end = start + duration if math.isfinite(start) else math.inf
         entry = PlannedJob(job_id, procs, start, end)
         self.entries.append(entry)
+        if start < self.floor:
+            self.floor = start
         # A tail append can only raise the frontier, so the cached value is
         # maintained instead of recomputed — submits stay O(1) in queue
         # depth on the frontier side.
@@ -224,6 +235,7 @@ class IncrementalPlan:
         entries: List[PlannedJob],
         residual: AvailabilityProfile,
         frontier: float,
+        floor: float,
         release: List[Tuple[float, float, int]],
         reserve: List[Tuple[float, float, int]],
     ) -> None:
@@ -236,9 +248,10 @@ class IncrementalPlan:
         ``release`` is added back (freed processors and the old
         reservations of moved entries), every one of ``reserve`` (their new
         reservations) subtracted, then the profile is compacted — O(moved
-        entries), not O(queue).  ``frontier`` is the earlier plan's
-        frontier, which the kept tail carries over.  ``entries`` itself
-        becomes the plan's list, its head overwritten in O(index).
+        entries), not O(queue).  ``frontier`` and ``floor`` are the earlier
+        plan's frontier and floor, which the kept tail carries over.
+        ``entries`` itself becomes the plan's list, its head overwritten in
+        O(index).
         """
         entries[:index] = self.entries
         self.entries = entries
@@ -248,6 +261,7 @@ class IncrementalPlan:
             residual.subtract(start, end, procs)
         residual.compact()
         self.residual = residual
+        self.floor = min(self.floor, floor)
         self._cached_plan = None
         self._frontier = frontier
 
@@ -266,6 +280,7 @@ class IncrementalPlan:
         self.residual = residual
         self.now = now
         self.entries = []
+        self.floor = math.inf
         self._invalidate()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -445,6 +445,8 @@ class BatchServer:
             return
         now = self.kernel.now
         self._planner.advance(now)
+        if self._planner.plan.floor > now:
+            return  # every planned start is later (advance left floor >= now)
         startable = {
             entry.job_id for entry in self._planner.plan.entries if entry.planned_start == now
         }

@@ -217,6 +217,13 @@ class ListProfile:
             raise ValueError("procs and durations must have the same length")
         return [self.earliest_slot(p, d, earliest) for p, d in zip(procs, durations)]
 
+    def _place(self, procs: int, duration: float, earliest: float) -> float:
+        """The planner's placement, by definition: search, then checked subtract."""
+        start = self.earliest_slot(procs, duration, earliest)
+        if math.isfinite(start):
+            self.subtract(start, start + duration, procs)
+        return start
+
     def copy(self) -> "ListProfile":
         clone = ListProfile.__new__(ListProfile)
         clone.total_procs = self.total_procs

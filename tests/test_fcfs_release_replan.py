@@ -12,7 +12,8 @@ These tests replay seeded random FCFS worlds — list and array storage,
 static and outage platforms, times on a coarse grid so that early and
 walltime-boundary completions share timestamps — and after *every*
 completion compare the plan entries (exact floats) and the compacted
-residual with ``plan_fcfs`` over ``cluster.build_profile(now)``.
+residual with ``plan_fcfs`` over ``cluster.build_profile(now)``, and check
+that the plan's ``floor`` still bounds every planned start from below.
 Hand-built worlds pin the walk's shapes: the empty window of a
 walltime-boundary completion (nothing re-placed), a cut right after the
 head, an unchanged head inside the window that must not end the walk, and
@@ -71,6 +72,7 @@ def assert_matches_reference(planner: IncrementalPlanner, now: float) -> None:
             expected.planned_start, expected.planned_end, expected.procs
         )
     assert compacted(planner.residual, now) == compacted(profile, now)
+    assert planner.plan.floor <= min([e.planned_start for e in entries], default=math.inf)
     last_start = max(
         [now] + [e.planned_start for e in entries if math.isfinite(e.planned_start)]
     )

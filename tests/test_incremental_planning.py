@@ -13,7 +13,12 @@ policies and heterogeneous cluster speeds — and check, after every event:
   function;
 * the cluster's live availability profile equals the from-scratch
   ``build_profile`` construction;
-* foreign-job completion estimates match the reference formula.
+* foreign-job completion estimates match the reference formula;
+* the plan's ``floor`` is at most its earliest planned start.
+
+The stale guard of :meth:`IncrementalPlanner.advance` never fires behind a
+server (every job planned at ``now`` is started at ``now``), so it is
+driven on a bare planner whose head is never started.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.batch.cluster import ClusterState
 from repro.batch.job import Job, JobState
-from repro.batch.policies import BatchPolicy, plan_cbf, plan_fcfs
+from repro.batch.policies import BatchPolicy, IncrementalPlanner, plan_cbf, plan_fcfs
 from repro.sim.kernel import SimulationKernel
 from tests.conftest import make_job, make_server
 
@@ -92,8 +98,11 @@ def assert_matches_reference(server, probe_jobs=()):
         assert inc_entry.planned_end == ref_entry.planned_end
         assert inc_entry.procs == ref_entry.procs
 
-    # The live residual is the same step function as the reference residual.
     planner = server._planner
+    # The plan's floor is a lower bound on every planned start.
+    starts = [entry.planned_start for entry in planner.plan.entries]
+    assert planner.plan.floor <= min(starts, default=math.inf)
+    # The live residual is the same step function as the reference residual.
     assert profile_points(planner.residual, now) == profile_points(ref_residual, now)
     # The cluster's live profile matches the from-scratch construction.
     assert profile_points(server.cluster.availability(now), now) == profile_points(
@@ -303,3 +312,45 @@ class TestHeterogeneousSpeeds:
         assert_matches_reference(server, PROBES)
         kernel.run()
         assert_matches_reference(server, PROBES)
+
+
+class TestStaleGuard:
+    @pytest.mark.parametrize("policy", ["fcfs", "cbf"])
+    def test_advancing_past_a_start_that_never_happened_replans(self, policy):
+        cluster = ClusterState("alpha", 4)
+        planner = IncrementalPlanner(BatchPolicy(policy), cluster)
+        for job in (
+            make_job(1, procs=4, runtime=100.0, walltime=100.0),
+            make_job(2, procs=2, runtime=50.0, walltime=50.0),
+            make_job(3, procs=1, runtime=20.0, walltime=30.0),
+        ):
+            planner.submit(job, 0.0)
+        plan = planner.plan
+        assert [entry.planned_start for entry in plan.entries] == [0.0, 100.0, 100.0]
+        assert plan.floor == 0.0
+        # Nothing started the head at 0: at 40 its planned start is stale.
+        generation = planner.generation
+        planner.advance(40.0)
+        assert planner.generation == generation + 1  # the guard replanned
+        plan_fn = plan_fcfs if policy == "fcfs" else plan_cbf
+        reference = plan_fn(cluster.build_profile(40.0), planner.jobs, planner.speed, 40.0)
+        assert [
+            (entry.job_id, entry.planned_start, entry.planned_end) for entry in planner.plan.entries
+        ] == [(entry.job_id, entry.planned_start, entry.planned_end) for entry in reference]
+        assert planner.plan.floor == 40.0
+
+    def test_a_floor_left_behind_by_a_started_job_is_tightened(self):
+        cluster = ClusterState("alpha", 4)
+        planner = IncrementalPlanner(BatchPolicy.FCFS, cluster)
+        head = make_job(1, procs=2, runtime=100.0, walltime=100.0)
+        tail = make_job(2, procs=4, runtime=50.0, walltime=50.0)
+        planner.submit(head, 0.0)
+        planner.submit(tail, 0.0)
+        cluster.start_job(head, 0.0)
+        planner.job_started(head, 0.0)
+        plan = planner.plan
+        assert plan.floor == 0.0  # removing the head left the bound as it was
+        generation = planner.generation
+        planner.advance(10.0)
+        assert plan.floor == 100.0  # the exact minimum, recomputed once
+        assert planner.generation == generation  # nothing was stale

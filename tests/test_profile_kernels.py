@@ -14,6 +14,14 @@ blocking breakpoint), an unblocked infinite tail, ``earliest`` before
 the profile start or inside a segment, and batches split over several
 count and query chunks (the element budget ``_CELLS`` is shrunk for
 that), with zero-length and oversized queries mixed in.
+
+The incremental planner reserves every slot through the private
+``_place``, which in list storage reserves the window its own walk found
+instead of searching again in ``subtract``.  In either storage it must
+leave exactly what ``earliest_slot`` followed by ``subtract`` leaves —
+same start, breakpoints, storage and score, same error — and so must the
+reference's ``earliest_slot`` plus ``subtract``.  Both storages return
+every start as a ``float``.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from hypothesis import strategies as st
 from repro.batch import profile as profile_module
 from repro.batch.profile import AvailabilityProfile
 
-from oracles.profiles import ListProfile, mode_of
+from oracles.profiles import MODES, ListProfile, mode_of
 
 LONG_SCAN = profile_module._LONG_SCAN
 SWITCH_AFTER = profile_module._SWITCH_AFTER
@@ -232,3 +240,113 @@ def test_a_window_ending_on_the_long_scan_breakpoint_is_short(duration, long):
     batch = in_arrays(profile.copy(), 4)
     assert batch.earliest_slot_many([1, 1], [duration, duration], 0.0) == [0.0, 0.0]
     assert (single._score, batch._score) == (4 + step, 4 + 2 * step)
+
+
+def search_then_subtract(profile, procs, duration, earliest):
+    """``earliest_slot`` then ``subtract`` of a finite start: the start or the error."""
+    try:
+        start = profile.earliest_slot(procs, duration, earliest)
+        if math.isfinite(start):
+            profile.subtract(start, start + duration, procs)
+    except ValueError as error:
+        return type(error), str(error)
+    return type(start), start
+
+
+def fused(profile, procs, duration, earliest):
+    """``_place``: the start or the error, as :func:`search_then_subtract` reports it."""
+    try:
+        start = profile._place(procs, duration, earliest)
+    except ValueError as error:
+        return type(error), str(error)
+    return type(start), start
+
+
+def assert_same_placements(profile, reference, queries):
+    """``_place`` on ``profile`` == search + subtract on a copy and on ``reference``."""
+    split = profile.copy()
+    for procs, duration, earliest in queries:
+        duration = resolve(duration, reference)
+        got = fused(profile, procs, duration, earliest)
+        assert got == search_then_subtract(split, procs, duration, earliest)
+        want = search_then_subtract(reference, procs, duration, earliest)
+        assert got[0] in (float, ValueError) and got[1] == want[1]
+        assert list(profile.breakpoints()) == list(split.breakpoints())
+        assert list(profile.breakpoints()) == list(reference.breakpoints())
+        assert (mode_of(profile), profile._score) == (mode_of(split), split._score)
+
+
+class TestFusedPlacement:
+    @given(
+        world=worlds(),
+        queries=st.lists(
+            st.tuples(st.integers(1, 44), durations, earliests), min_size=1, max_size=12
+        ),
+        storage=st.sampled_from(["list", "array"]),
+        score=st.integers(0, SWITCH_AFTER),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_search_then_subtract(self, world, queries, storage, score):
+        reference, profile = build(world)
+        if storage == "array":
+            in_arrays(profile, max(score, 1))
+        else:
+            profile._score = min(score, SWITCH_AFTER - 1)
+        assert_same_placements(profile, reference, queries)
+
+    @pytest.mark.parametrize("storage", ["list", "array"])
+    @pytest.mark.parametrize("procs,duration,earliest,want", [
+        (4, 10.0, 0.0, 0.0),       # the window ends on the breakpoint at 10
+        (4, 10.0, 20.0, 20.0),     # ... and on the one at 30
+        (4, 9.5, 0.0, 0.0),        # ends inside [0, 10): a new end breakpoint
+        (1, 5.0, 12.5, 12.5),      # starts and ends inside [10, 20)
+        (2, 4.0, 31.0, 31.0),      # inside the infinite tail
+        (3, 1e9, 0.0, math.inf),   # 3 never stays free that long: infinite start
+        (5, 1.0, 0.0, math.inf),   # more processors than the capacity
+        (2, 0.0, 5.0, 5.0),        # zero length: subtract's empty-interval error
+        (2, math.inf, 0.0, 20.0),  # an infinite window: reserved to the end
+    ])
+    def test_hand_built_corners(self, storage, procs, duration, earliest, want):
+        # free: 4 over [0, 10), 1 over [10, 20), 4 over [20, 30), then 2 forever.
+        reference, profile = ListProfile(4), AvailabilityProfile(4)
+        for target in (reference, profile):
+            target.subtract(10.0, 20.0, 3)
+            target.subtract(30.0, math.inf, 2)
+        if storage == "array":
+            in_arrays(profile, SWITCH_AFTER)
+        assert profile.copy().earliest_slot(procs, duration, earliest) == want
+        assert_same_placements(profile, reference, [(procs, duration, earliest)])
+
+    @pytest.mark.parametrize("storage,score,duration", [
+        ("list", SWITCH_AFTER - 1, LONG_SCAN + 0.5),  # a long walk moves it to arrays
+        ("array", 1, 0.5),                            # a short search moves it to lists
+    ])
+    def test_a_placement_that_switches_storage(self, storage, score, duration):
+        # One breakpoint per time unit, so a window's length sets the walk's.
+        steps = LONG_SCAN + 10
+        reference, profile = ListProfile(steps + 4), AvailabilityProfile(steps + 4)
+        for step in range(steps):
+            reference.subtract(float(step), float(steps), 1)
+            profile.subtract(float(step), float(steps), 1)
+        if storage == "array":
+            in_arrays(profile, score)
+        else:
+            profile._score = score
+        assert_same_placements(profile, reference, [(1, duration, 0.0)])
+        assert mode_of(profile) == ("array" if storage == "list" else "list")
+
+
+@pytest.mark.parametrize("storage", ["list", "array"])
+def test_starts_are_floats_in_both_storages(storage):
+    # Integer arguments leave an integer breakpoint in list storage.
+    profile = MODES[storage](4)
+    profile.subtract(0, 10, 3)
+    starts = [
+        profile.earliest_slot(1, 1.0, 5),       # the caller's earliest
+        profile.earliest_slot(4, 1.0, 5),       # an integer breakpoint
+        profile.earliest_slot(4, 0.0, 5),       # zero length
+        *profile.earliest_slot_many([1, 4], [1.0, 1.0], 5),
+        profile._place(4, 2.0, 5),
+    ]
+    assert starts == [5.0, 10.0, 10.0, 5.0, 10.0, 10.0]
+    assert [type(start) for start in starts] == [float] * len(starts)
