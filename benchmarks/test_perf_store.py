@@ -1,10 +1,11 @@
-"""Result-store benchmark: columnar ``.npz`` documents vs JSON.
+"""Result-store benchmark: columnar ``.npz`` documents vs legacy JSON.
 
 Builds deterministic baseline/reallocation result pairs at archive scales
-(10⁴–10⁶ completed jobs), stores each pair through both document formats
-of :class:`repro.store.ResultStore` — the columnar ``.npz`` default and
-the historical JSON documents (gzip-compressed at these sizes) — and
-times the three store verbs that dominate a warm analysis session:
+(10⁴–10⁶ completed jobs), stores each pair twice — through the
+production :class:`repro.store.ResultStore`, which writes ``.npz``
+documents, and through the retired JSON writer kept as a test oracle
+(:class:`oracles.store.LegacyStore`, gzip-compressed at these sizes) —
+and times the three store verbs that dominate a warm analysis session:
 
 * **put** — serialize both results of the pair into the store;
 * **get + compare** — the warm-table path: load both documents and
@@ -12,8 +13,8 @@ times the three store verbs that dominate a warm analysis session:
   :func:`repro.core.metrics.compare_tables`.  On ``.npz`` documents this
   is a header parse plus a handful of ``np.lib.format`` column reads
   feeding the columnar comparison — no per-job object is ever built —
-  while the JSON path tokenizes one dict per job before the table is
-  rebuilt;
+  while the legacy JSON read tokenizes one dict per job before the table
+  is rebuilt;
 * **bytes on disk** — the result-document footprint per format
   (``.npz`` vs ``.json.gz``), read back through
   :meth:`~repro.store.ResultStore.disk_stats`.
@@ -54,6 +55,8 @@ from repro.core.results import RunResult
 from repro.experiments.config import ExperimentConfig
 from repro.store import ResultStore
 
+from oracles.store import LegacyStore
+
 #: Result sizes (completed jobs per document) measured by default.
 DEFAULT_SCALES = (10_000, 100_000)
 #: Required JSON/npz wall-clock ratio of the warm get+compare path ...
@@ -62,6 +65,8 @@ MIN_SPEEDUP = 3.0
 BYTES_MIN_SPEEDUP = 2.0
 #: ... both asserted only at job counts at least this large.
 SPEEDUP_FLOOR_SCALE = 100_000
+#: Writer of each document format: production ``.npz``, oracle JSON.
+STORES = {"npz": ResultStore, "json": LegacyStore}
 #: Sites/clusters of the synthetic platform (category-coded columns).
 CLUSTERS = ("bordeaux", "lille", "lyon", "nancy", "rennes", "sophia")
 BENCH_SEED = 20100326
@@ -121,7 +126,7 @@ def synthetic_pair(n: int, seed: int):
         )
         table = JobTable.from_columns(columns, sites=["grid5000"], clusters=list(CLUSTERS))
         return RunResult(
-            label=label,
+            label,
             table=table,
             total_reallocations=int(moves.sum()),
             reallocation_events=24,
@@ -169,7 +174,7 @@ def test_store_format_speedup():
             entry = {"jobs": n}
             metrics = {}
             for fmt in ("npz", "json"):
-                store = ResultStore(root / f"{fmt}-{n}", format=fmt)
+                store = STORES[fmt](root / f"{fmt}-{n}")
                 put_s, _ = best_of(
                     repetitions, put_pair, store, configs, results, disable_gc=True
                 )

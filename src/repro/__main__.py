@@ -106,13 +106,7 @@ from repro.service import (
     synthetic_specs,
 )
 from repro.service.clock import CLOCK_MODES
-from repro.store import (
-    DEFAULT_RESULT_FORMAT,
-    DEFAULT_STALE_LOCK_SECONDS,
-    RESULT_FORMATS,
-    ResultStore,
-    config_key,
-)
+from repro.store import DEFAULT_STALE_LOCK_SECONDS, ResultStore, config_key
 
 #: table number -> (metric, algorithm, heterogeneous)
 TABLE_SPECS = {number: spec for spec, number in TABLE_NUMBERS.items()}
@@ -137,12 +131,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         "--store", default=os.environ.get("REPRO_STORE", ".repro-store"),
         metavar="DIR", help="persistent result store directory "
                             "(default %(default)s, or $REPRO_STORE)")
-    parser.add_argument(
-        "--store-format", choices=RESULT_FORMATS,
-        default=os.environ.get("REPRO_STORE_FORMAT", DEFAULT_RESULT_FORMAT),
-        metavar="{npz,json}",
-        help="serialization of new result documents (default %(default)s, "
-             "or $REPRO_STORE_FORMAT; reads are always format-agnostic)")
     parser.add_argument(
         "--no-store", action="store_true",
         help="disable the persistent store (everything stays in memory)")
@@ -322,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="per-format document counts and bytes on disk",
         description="Report the store's documents and bytes on disk, broken "
                     "down by namespace (results, metrics) and format (npz, "
-                    "json, json.gz) — mixed-format stores produced by a "
-                    "format migration stay inspectable.")
+                    "json, json.gz) — legacy JSON documents written by "
+                    "earlier versions stay inspectable next to .npz ones.")
     stats.add_argument("--as-json", action="store_true",
                        help="machine-readable output")
     _add_common_options(stats)
@@ -433,9 +421,7 @@ def _open_store(args: argparse.Namespace) -> ResultStore:
         raise SystemExit(
             f"repro: error: --store {args.store!r} exists and is not a directory"
         )
-    return ResultStore(
-        args.store, format=getattr(args, "store_format", DEFAULT_RESULT_FORMAT)
-    )
+    return ResultStore(args.store)
 
 
 def _make_runner(args: argparse.Namespace) -> ExperimentRunner:

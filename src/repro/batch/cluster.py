@@ -77,6 +77,8 @@ class ClusterState:
         #: currently available processors (== total_procs on static platforms)
         self.capacity = int(total_procs)
         self._running: Dict[int, RunningJob] = {}
+        #: processors held by the running set, kept by start_job/finish_job
+        self._used = 0
         # Live availability profile of the running set, updated in place by
         # start_job/finish_job and advanced lazily by availability().  The
         # profile picks its own storage from its searches, whatever the
@@ -94,7 +96,7 @@ class ClusterState:
     @property
     def used_procs(self) -> int:
         """Processors currently held by running jobs."""
-        return sum(entry.procs for entry in self._running.values())
+        return self._used
 
     @property
     def free_procs(self) -> int:
@@ -141,6 +143,7 @@ class ClusterState:
             walltime_end=start_time + job.walltime_on(self.speed),
         )
         self._running[job.job_id] = entry
+        self._used += job.procs
         self._profile.subtract(start_time, entry.walltime_end, job.procs)
         return entry
 
@@ -158,6 +161,7 @@ class ClusterState:
             entry = self._running.pop(job_id)
         except KeyError as exc:
             raise ValueError(f"job {job_id} is not running on {self.name}") from exc
+        self._used -= entry.procs
         released_from = entry.start_time if now is None else now
         if released_from < entry.walltime_end:
             self._profile.release(released_from, entry.walltime_end, entry.procs)
@@ -204,7 +208,7 @@ class ClusterState:
                 f"nominal size {self.total_procs}"
             )
         victims: List[RunningJob] = []
-        while self.used_procs > new_capacity:
+        while self._used > new_capacity:
             entry = max(
                 self._running.values(),
                 key=lambda e: (e.start_time, e.job.job_id),

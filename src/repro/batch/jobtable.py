@@ -677,10 +677,11 @@ class JobTable:
     def record_dicts(self, sort_by_job_id: bool = True) -> List[Dict[str, Any]]:
         """Serialized record dicts of every row, straight from the columns.
 
-        Shape-identical to ``JobRecord.to_dict()`` per row, but built from
-        one column pass without materialising any intermediate
-        :class:`~repro.core.results.JobRecord` — the canonical (ascending
-        job-id) JSON payload of a result document.  Requires outcome
+        One plain-JSON dict per row (floats, ints, strings, ``None``; the
+        state as its string value), built from one column pass without
+        materialising any :class:`~repro.core.results.JobRecord` — the
+        canonical (ascending job-id) ``records`` payload of
+        :meth:`~repro.core.results.RunResult.to_dict`.  Requires outcome
         columns on a non-empty table.
         """
         n = self._n

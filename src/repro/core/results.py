@@ -7,28 +7,25 @@ paper (:mod:`repro.core.metrics`) are computed by comparing two
 ``RunResult`` objects over the same trace — one with reallocation, one
 without.
 
-Since the columnar result pipeline the canonical backing of a result is a
-:class:`~repro.batch.jobtable.JobTable`: :meth:`RunResult.from_jobs` hands
-the final job state to the table in bulk, the store serializes the table's
-columns directly, and the aggregate metrics are NumPy reductions.  The
-object world — one :class:`JobRecord` per job — is materialised *lazily*:
-per id on :meth:`RunResult.__getitem__`, per chunk on iteration, and as a
-cached dict only when :attr:`RunResult.records` is actually read.  Results
-built from a plain record dict (hand-written tests, legacy callers) keep
-working unchanged; :meth:`RunResult.to_table` converts either way.
+A result is always backed by a :class:`~repro.batch.jobtable.JobTable`:
+:meth:`RunResult.from_jobs` hands the final job state to the table in
+bulk, the store serializes the table's columns directly, and the
+aggregate metrics are NumPy reductions.  The object world — one
+:class:`JobRecord` per job — is materialised *lazily*: per id on
+:meth:`RunResult.__getitem__`, per chunk on iteration, and as a cached
+read-only mapping only when :attr:`RunResult.records` is actually read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, Mapping, Optional
+from types import MappingProxyType
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
 from repro.batch.job import Job, JobState
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.batch.jobtable import JobTable
+from repro.batch.jobtable import JobTable
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,47 +79,6 @@ class JobRecord:
             outage_kills=job.outage_kills,
         )
 
-    # ------------------------------------------------------------------ #
-    # Serialization (JSON-safe, used by repro.store and the campaign     #
-    # engine's process boundary)                                         #
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-JSON representation (floats, ints, strings, ``None``)."""
-        return {
-            "job_id": self.job_id,
-            "submit_time": self.submit_time,
-            "procs": self.procs,
-            "runtime": self.runtime,
-            "walltime": self.walltime,
-            "origin_site": self.origin_site,
-            "final_cluster": self.final_cluster,
-            "start_time": self.start_time,
-            "completion_time": self.completion_time,
-            "state": self.state.value,
-            "killed": self.killed,
-            "reallocation_count": self.reallocation_count,
-            "outage_kills": self.outage_kills,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "JobRecord":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            job_id=int(data["job_id"]),
-            submit_time=float(data["submit_time"]),
-            procs=int(data["procs"]),
-            runtime=float(data["runtime"]),
-            walltime=float(data["walltime"]),
-            origin_site=data["origin_site"],
-            final_cluster=data["final_cluster"],
-            start_time=data["start_time"],
-            completion_time=data["completion_time"],
-            state=JobState(data["state"]),
-            killed=bool(data["killed"]),
-            reallocation_count=int(data["reallocation_count"]),
-            outage_kills=int(data.get("outage_kills", 0)),
-        )
-
 
 class RunResult:
     """Outcome of one simulated experiment.
@@ -131,10 +87,11 @@ class RunResult:
     ----------
     label:
         Human-readable description of the configuration.
-    records:
-        Mapping from job id to :class:`JobRecord` (mutually exclusive with
-        ``table``).  Without either, the result starts with an empty,
-        caller-mutable record dict — the hand-construction path.
+    table:
+        Columnar :class:`~repro.batch.jobtable.JobTable` holding the final
+        state of every job (empty when omitted).  Counts, makespans and
+        comparisons are NumPy reductions over it; :class:`JobRecord`
+        objects are materialised only on demand.
     total_reallocations:
         Number of job moves performed by the reallocation agent (0 for the
         baseline runs).
@@ -151,11 +108,6 @@ class RunResult:
         Core-seconds of execution thrown away by outage kills.
     metadata:
         Free-form configuration details (scenario, platform, policy, ...).
-    table:
-        Columnar :class:`~repro.batch.jobtable.JobTable` backing (the
-        simulation / store path).  A table-backed result answers counts,
-        makespans and comparisons with NumPy reductions and materialises
-        :class:`JobRecord` objects only on demand.
     """
 
     __slots__ = (
@@ -175,7 +127,8 @@ class RunResult:
     def __init__(
         self,
         label: str,
-        records: Optional[Dict[int, JobRecord]] = None,
+        *,
+        table: Optional[JobTable] = None,
         total_reallocations: int = 0,
         reallocation_events: int = 0,
         makespan: float = 0.0,
@@ -183,10 +136,7 @@ class RunResult:
         jobs_requeued: int = 0,
         work_lost: float = 0.0,
         metadata: Optional[Dict[str, object]] = None,
-        table: Optional["JobTable"] = None,
     ) -> None:
-        if records is not None and table is not None:
-            raise ValueError("pass either records or table, not both")
         self.label = label
         self.total_reallocations = total_reallocations
         self.reallocation_events = reallocation_events
@@ -195,10 +145,8 @@ class RunResult:
         self.jobs_requeued = jobs_requeued
         self.work_lost = work_lost
         self.metadata: Dict[str, object] = metadata if metadata is not None else {}
-        self._table = table
-        self._records: Optional[Dict[int, JobRecord]] = (
-            records if records is not None else (None if table is not None else {})
-        )
+        self._table = table if table is not None else JobTable()
+        self._records: Optional[Mapping[int, JobRecord]] = None
         self._row_index: Optional[Dict[int, int]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -244,8 +192,6 @@ class RunResult:
         outcome columns written unconditionally — the final state is
         definitive); no per-job :class:`JobRecord` is materialised.
         """
-        from repro.batch.jobtable import JobTable
-
         table = JobTable()
         for job in jobs:
             table.add_job(job, final=True)
@@ -264,7 +210,7 @@ class RunResult:
     def from_table(
         cls,
         label: str,
-        table: "JobTable",
+        table: JobTable,
         total_reallocations: int = 0,
         reallocation_events: int = 0,
         jobs_killed_by_outage: int = 0,
@@ -274,12 +220,12 @@ class RunResult:
     ) -> "RunResult":
         """Adopt a columnar :class:`~repro.batch.jobtable.JobTable` as backing.
 
-        Zero copies: the result *owns* the table from here on (the
-        makespan is one vectorised reduction over its completion column)
-        and materialises :class:`JobRecord` objects only lazily.
+        Zero copies: the result *owns* the table from here on, and the
+        makespan is one vectorised reduction over its completion column.
         """
         return cls(
-            label=label,
+            label,
+            table=table,
             total_reallocations=total_reallocations,
             reallocation_events=reallocation_events,
             makespan=table.makespan(),
@@ -287,57 +233,37 @@ class RunResult:
             jobs_requeued=jobs_requeued,
             work_lost=work_lost,
             metadata=dict(metadata or {}),
-            table=table,
         )
 
     @property
-    def records(self) -> Dict[int, JobRecord]:
-        """Mapping from job id to :class:`JobRecord`.
+    def records(self) -> Mapping[int, JobRecord]:
+        """Read-only mapping from job id to :class:`JobRecord`.
 
-        On a table-backed result this materialises (and caches) one
-        record per row on first read — the legacy bulk-object view.  The
+        Materialises (and caches) one record per row on first read.  The
         zero-object paths (:meth:`to_table`, the aggregate counts, the
         metric comparisons) never touch it.
         """
         if self._records is None:
-            records: Dict[int, JobRecord] = {}
-            if len(self._table):
-                for chunk in self._table.records():
-                    for record in chunk:
-                        records[record.job_id] = record
-            self._records = records
+            self._records = MappingProxyType({record.job_id: record for record in self})
         return self._records
 
-    def to_table(self) -> "JobTable":
-        """Columnar view of the result.
+    def to_table(self) -> JobTable:
+        """The result's own columnar table (zero copies, simulation order).
 
-        A table-backed result returns its *own* table (zero copies, rows
-        in simulation order); a record-dict result builds one in ascending
-        job-id order.  Either carries the outcome columns, so aggregate
-        metrics (counts, response-time means, makespan) are NumPy
-        reductions — the form :func:`repro.core.metrics.compare_tables`
-        consumes.
+        Aggregate metrics (counts, response-time means, makespan) are
+        NumPy reductions over it — the form
+        :func:`repro.core.metrics.compare_tables` consumes.
         """
-        if self._table is not None:
-            return self._table
-        from repro.batch.jobtable import JobTable
-
-        return JobTable.from_records(
-            self._records[job_id] for job_id in sorted(self._records)
-        )
+        return self._table
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-JSON representation (see :meth:`JobRecord.to_dict`).
+        """Plain-JSON representation, serialized straight from the columns.
 
-        Records are emitted in ascending job-id order so the serialized
-        form of a result is canonical: two equal results produce identical
-        JSON documents.  The table-backed path serializes straight from
-        the columns without materialising records.
+        Records are emitted in ascending job-id order
+        (:meth:`~repro.batch.jobtable.JobTable.record_dicts`) so the
+        serialized form of a result is canonical: two equal results
+        produce identical JSON documents.
         """
-        if self._table is not None and self._records is None:
-            records = self._table.record_dicts()
-        else:
-            records = [self.records[job_id].to_dict() for job_id in sorted(self.records)]
         return {
             "label": self.label,
             "total_reallocations": self.total_reallocations,
@@ -347,16 +273,15 @@ class RunResult:
             "jobs_requeued": self.jobs_requeued,
             "work_lost": self.work_lost,
             "metadata": dict(self.metadata),
-            "records": records,
+            "records": self._table.record_dicts(),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunResult":
         """Inverse of :meth:`to_dict` (columnar: no records are built)."""
-        from repro.batch.jobtable import JobTable
-
         return cls(
-            label=data["label"],
+            data["label"],
+            table=JobTable.from_record_dicts(data["records"]),
             total_reallocations=int(data["total_reallocations"]),
             reallocation_events=int(data["reallocation_events"]),
             makespan=float(data["makespan"]),
@@ -364,31 +289,21 @@ class RunResult:
             jobs_requeued=int(data.get("jobs_requeued", 0)),
             work_lost=float(data.get("work_lost", 0.0)),
             metadata=dict(data["metadata"]),
-            table=JobTable.from_record_dicts(data["records"]),
         )
 
     # ------------------------------------------------------------------ #
     # Access                                                             #
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        if self._records is not None:
-            return len(self._records)
         return len(self._table)
 
     def __iter__(self) -> Iterator[JobRecord]:
-        if self._records is not None:
-            return iter(self._records.values())
-        return self._iter_table()
-
-    def _iter_table(self) -> Iterator[JobRecord]:
         if len(self._table) == 0:
             return
         for chunk in self._table.records():
             yield from chunk
 
     def __getitem__(self, job_id: int) -> JobRecord:
-        if self._records is not None:
-            return self._records[job_id]
         if self._row_index is None:
             self._row_index = {
                 jid: i for i, jid in enumerate(self._table.job_id.tolist())
@@ -398,75 +313,45 @@ class RunResult:
     @property
     def completed_count(self) -> int:
         """Number of jobs that finished."""
-        if self._records is None:
-            return self._table.completed_count
-        return sum(1 for r in self._records.values() if r.state is JobState.COMPLETED)
+        return self._table.completed_count
 
     @property
     def rejected_count(self) -> int:
         """Number of jobs that fit on no cluster of the platform."""
-        if self._records is None:
-            return self._table.rejected_count
-        return sum(1 for r in self._records.values() if r.state is JobState.REJECTED)
+        return self._table.rejected_count
 
     @property
     def killed_count(self) -> int:
         """Number of jobs killed at their walltime."""
-        if self._records is None:
-            return self._table.killed_count
-        return sum(1 for r in self._records.values() if r.killed)
+        return self._table.killed_count
 
     @property
     def disrupted_count(self) -> int:
         """Number of distinct jobs killed at least once by an outage."""
-        if self._records is None:
-            return self._table.disrupted_count
-        return sum(1 for r in self._records.values() if r.outage_kills > 0)
+        return self._table.disrupted_count
 
     def completion_times(self) -> Dict[int, float]:
         """Job id -> completion time, for completed jobs only."""
-        if self._records is None:
-            table = self._table
-            completion = table.completion_time
-            if completion is None:
-                return {}
-            mask = ~np.isnan(completion)
-            return dict(
-                zip(table.job_id[mask].tolist(), completion[mask].tolist())
-            )
-        return {
-            job_id: record.completion_time
-            for job_id, record in self._records.items()
-            if record.completion_time is not None
-        }
+        completion = self._table.completion_time
+        if completion is None:
+            return {}
+        mask = ~np.isnan(completion)
+        return dict(zip(self._table.job_id[mask].tolist(), completion[mask].tolist()))
 
     def response_times(self) -> Dict[int, float]:
         """Job id -> response time, for completed jobs only."""
-        if self._records is None:
-            table = self._table
-            completion = table.completion_time
-            if completion is None:
-                return {}
-            mask = ~np.isnan(completion)
-            return dict(
-                zip(
-                    table.job_id[mask].tolist(),
-                    (completion[mask] - table.submit_time[mask]).tolist(),
-                )
+        table = self._table
+        completion = table.completion_time
+        if completion is None:
+            return {}
+        mask = ~np.isnan(completion)
+        return dict(
+            zip(
+                table.job_id[mask].tolist(),
+                (completion[mask] - table.submit_time[mask]).tolist(),
             )
-        return {
-            job_id: record.response_time
-            for job_id, record in self._records.items()
-            if record.response_time is not None
-        }
+        )
 
     def mean_response_time(self) -> float:
         """Mean response time over all completed jobs (0.0 if none completed)."""
-        if self._records is None:
-            return self._table.mean_response_time()
-        values = [
-            record.response_time
-            for record in self._records.values()
-            if record.response_time is not None
-        ]
-        return sum(values) / len(values) if values else 0.0
+        return self._table.mean_response_time()

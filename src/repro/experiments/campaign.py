@@ -569,7 +569,7 @@ def drain_units(
 
 def _sweep_worker(payload: Mapping[str, Any]) -> Dict[str, Any]:
     """Executed in a worker process: drain one sweep against the store."""
-    store = ResultStore(payload["store"], compress_threshold=payload["compress_threshold"])
+    store = ResultStore(payload["store"])
     units = [ExperimentConfig.from_dict(data) for data in payload["units"]]
     report = drain_units(
         units,
@@ -615,7 +615,6 @@ def run_distributed_sweep(
         ]
     payload = {
         "store": str(store.root),
-        "compress_threshold": store.compress_threshold,
         "units": [config.to_dict() for config in units],
         "stale_after": stale_after,
         "poll_interval": poll_interval,

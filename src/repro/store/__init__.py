@@ -1,8 +1,8 @@
 """Persistent, content-addressed storage for experiment results.
 
 The :class:`~repro.store.filestore.ResultStore` keeps one document per
-simulated experiment on disk — binary columnar ``.npz`` by default, JSON
-via the ``format=`` knob, both read transparently — keyed by a stable
+simulated experiment on disk — written as binary columnar ``.npz``, with
+legacy JSON documents of earlier versions still read — keyed by a stable
 hash of the full :class:`~repro.experiments.config.ExperimentConfig`.  It lets the campaign
 engine (:mod:`repro.experiments.campaign`) and the
 :class:`~repro.experiments.runner.ExperimentRunner` skip simulations that
@@ -12,22 +12,18 @@ table of the paper with zero re-simulations.
 * :func:`config_key` — stable content hash of a configuration.
 * :class:`ResultStore` — load/save/invalidate of run results and
   comparison metrics, with schema versioning, corrupted-file recovery,
-  transparent gzip compression of large documents, and advisory
-  claim/release locks (with per-claim heartbeats) for concurrent writers
-  sharing one directory.
+  and advisory claim/release locks (with per-claim heartbeats) for
+  concurrent writers sharing one directory.
 * :data:`SCHEMA_VERSION` — bumped whenever the serialized layout of
   :class:`~repro.core.results.RunResult` or
   :class:`~repro.core.metrics.ComparisonMetrics` changes; documents
   written under another version are treated as misses and dropped.
-* :data:`DEFAULT_STALE_LOCK_SECONDS` / :data:`DEFAULT_COMPRESS_THRESHOLD`
-  — tuning knobs of the lock takeover and compression policies.
+* :data:`DEFAULT_STALE_LOCK_SECONDS` — age after which a claim counts as
+  dead and may be taken over.
 """
 
 from repro.store.filestore import (
-    DEFAULT_COMPRESS_THRESHOLD,
-    DEFAULT_RESULT_FORMAT,
     DEFAULT_STALE_LOCK_SECONDS,
-    RESULT_FORMATS,
     SCHEMA_VERSION,
     ResultStore,
     StoreStats,
@@ -36,10 +32,7 @@ from repro.store.filestore import (
 )
 
 __all__ = [
-    "DEFAULT_COMPRESS_THRESHOLD",
-    "DEFAULT_RESULT_FORMAT",
     "DEFAULT_STALE_LOCK_SECONDS",
-    "RESULT_FORMATS",
     "SCHEMA_VERSION",
     "ResultStore",
     "StoreStats",

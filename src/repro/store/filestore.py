@@ -4,8 +4,8 @@ Layout::
 
     <root>/
         results/<hh>/<hash>.npz      one RunResult per simulated experiment
-        results/<hh>/<hash>.json     ... legacy / ``format="json"`` documents
-        results/<hh>/<hash>.json.gz  ... gzip-compressed above a size threshold
+        results/<hh>/<hash>.json     ... legacy JSON documents (read only)
+        results/<hh>/<hash>.json.gz  ... legacy gzip-compressed JSON (read only)
         metrics/<hh>/<hash>.json     one ComparisonMetrics per realloc config
         locks/<hh>/<hash>.lock       advisory claim of one in-flight simulation
 
@@ -13,31 +13,29 @@ Layout::
 of the :class:`~repro.experiments.config.ExperimentConfig` — and ``<hh>``
 its first two hex digits (keeps directories small for large sweeps).
 
-Result documents are written **columnar** by default: a ``.npz`` archive
-holding one ``.npy`` member per :class:`~repro.batch.jobtable.JobTable`
-column plus a ``header.json`` member with the run-level scalars
-(label, counters, metadata, category lists) and the usual
-``schema``/``kind``/``key``/``config`` envelope.  The zip container is
-written by hand with zeroed timestamps, fixed member order and a fixed
-compression level, so the bytes are a pure function of the content —
-byte-identical across processes and repeated runs.  Loading a ``.npz``
-result adopts the columns straight into a table-backed
+There is one writer per document kind.  Result documents are written
+**columnar**: a ``.npz`` archive holding one ``.npy`` member per
+:class:`~repro.batch.jobtable.JobTable` column plus a ``header.json``
+member with the run-level scalars (label, counters, metadata, category
+lists) and the usual ``schema``/``kind``/``key``/``config`` envelope.
+The zip container is written by hand with zeroed timestamps, fixed member
+order and a fixed compression level, so the bytes are a pure function of
+the content — byte-identical across processes and repeated runs.  Loading
+a ``.npz`` result adopts the columns straight into a table-backed
 :class:`~repro.core.results.RunResult`: no per-job object is built.
-``format="json"`` keeps the legacy JSON pipeline (the differential
-oracle), and *reading* is always format-agnostic: a store falls back
-transparently from ``.npz`` to ``.json``/``.json.gz``, so legacy stores
-stay warm after an upgrade.  Metrics documents are small and stay JSON.
+Metrics documents are small and are written as plain ``.json``.
+
+Stores written by earlier versions may hold ``.json`` and ``.json.gz``
+result documents, and ``.json.gz`` metrics documents.  Those are still
+read (a lookup falls back from ``.npz`` to ``.json`` to ``.json.gz``),
+counted, invalidated and collected, so a legacy store stays warm; a
+rewrite of the same key replaces any legacy twin.
 
 Every document carries a schema version.  Loading a document written under
 a different version, or one that fails to parse, silently degrades to a
 cache miss: the offending file is deleted and the caller re-simulates.
 Writes are atomic (temp file + ``os.replace``) so a crashed or killed
 campaign never leaves a truncated document a later run would trip over.
-
-JSON documents whose serialized form exceeds ``compress_threshold`` bytes
-are written gzip-compressed (``.json.gz``, with a zeroed gzip mtime so the
-bytes are a pure function of the content); all formats are read
-transparently and at most one file exists per key.
 
 Concurrent writers — several processes, or several hosts sharing the store
 directory — coordinate through *advisory lock files*:
@@ -63,6 +61,7 @@ is always published atomically regardless of who holds the claim.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import hashlib
 import io
@@ -92,15 +91,6 @@ if TYPE_CHECKING:  # runtime import would be circular (experiments -> store)
 #: documents with any other version are invalidated on load.
 SCHEMA_VERSION = 1
 
-#: Serialization formats accepted for result documents.
-RESULT_FORMATS = ("npz", "json")
-
-#: Format new result documents are written in.
-DEFAULT_RESULT_FORMAT = "npz"
-
-#: JSON documents at least this many serialized bytes are written ``.json.gz``.
-DEFAULT_COMPRESS_THRESHOLD = 64 * 1024
-
 #: Claims older than this many seconds are presumed dead and may be stolen.
 DEFAULT_STALE_LOCK_SECONDS = 1800.0
 
@@ -114,12 +104,15 @@ _METRICS_KIND = "comparison_metrics"
 _claim_counter = itertools.count(1)
 
 
+@functools.lru_cache(maxsize=1024)
 def config_key(config: ExperimentConfig) -> str:
     """Stable content hash of a configuration.
 
     The key is a SHA-256 hex digest over the canonical (sorted-key,
     separator-free) JSON encoding of :meth:`ExperimentConfig.to_dict`, so
     it is stable across processes, Python versions and dict orderings.
+    Memoised per configuration: equal configurations share one canonical
+    form, and the cache covers every unit of the paper campaign.
     """
     canonical = json.dumps(
         config.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False
@@ -170,15 +163,6 @@ class ResultStore:
     ----------
     root:
         Directory holding the store; created on first write.
-    compress_threshold:
-        Serialized JSON documents at least this many bytes are stored
-        gzip-compressed.  0 compresses everything; ``None`` disables
-        compression.  Reading is format-agnostic either way.
-    format:
-        Serialization of *new* result documents: ``"npz"`` (default)
-        writes binary columnar archives, ``"json"`` the legacy JSON
-        pipeline.  Reads always fall back across formats, so the knob
-        never hides existing documents.
 
     Examples
     --------
@@ -188,19 +172,8 @@ class ResultStore:
     True
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        compress_threshold: Optional[int] = DEFAULT_COMPRESS_THRESHOLD,
-        format: str = DEFAULT_RESULT_FORMAT,
-    ) -> None:
-        if format not in RESULT_FORMATS:
-            raise ValueError(
-                f"unknown result format {format!r}; expected one of {RESULT_FORMATS}"
-            )
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self.compress_threshold = compress_threshold
-        self.format = format
         self.stats = StoreStats()
         #: config key -> claim token owned by this instance
         self._claims: Dict[str, str] = {}
@@ -212,10 +185,11 @@ class ResultStore:
         return self.root / namespace / key[:2] / f"{key}.json"
 
     def result_path(self, config: ExperimentConfig) -> Path:
-        """File that holds (or would hold) the run result of ``config``.
+        """Location of a legacy JSON result document of ``config``.
 
-        The uncompressed location; a large document actually lives at this
-        path plus a ``.gz`` suffix (see :meth:`put_result`).
+        The base name every format derives from: the current document
+        lives at the same stem with a ``.npz`` suffix, and a legacy
+        compressed one at this path plus ``.gz``.
         """
         return self._path("results", config_key(config))
 
@@ -244,8 +218,8 @@ class ResultStore:
 
         Tries the columnar ``.npz`` document first (a hit adopts the
         columns into a table-backed result, zero per-job objects), then
-        falls back to ``.json``/``.json.gz`` — so a legacy store stays
-        warm regardless of the configured write format.
+        falls back to legacy ``.json``/``.json.gz`` documents — so a
+        store written by an earlier version stays warm.
         """
         path = self.result_path(config)
         result = self._load_npz(self._npz(path))
@@ -258,11 +232,8 @@ class ResultStore:
         return RunResult.from_dict(payload)
 
     def put_result(self, config: ExperimentConfig, result: RunResult) -> Path:
-        """Persist ``result`` under the key of ``config``."""
-        path = self.result_path(config)
-        if self.format == "npz":
-            return self._save_npz(path, config, result)
-        return self._save(path, _RESULT_KIND, config, result.to_dict())
+        """Persist ``result`` under the key of ``config`` as a ``.npz`` document."""
+        return self._save_npz(self.result_path(config), config, result)
 
     def has_result(self, config: ExperimentConfig) -> bool:
         """Cheap existence test — no document is read or validated."""
@@ -317,10 +288,20 @@ class ResultStore:
         return ComparisonMetrics.from_dict(payload)
 
     def put_metrics(self, config: ExperimentConfig, metrics: ComparisonMetrics) -> Path:
-        """Persist ``metrics`` under the key of ``config``."""
-        return self._save(
-            self.metrics_path(config), _METRICS_KIND, config, metrics.to_dict()
-        )
+        """Persist ``metrics`` under the key of ``config`` as plain JSON."""
+        path = self.metrics_path(config)
+        document = {
+            "schema": SCHEMA_VERSION,
+            "kind": _METRICS_KIND,
+            "key": path.stem,
+            "config": config.to_dict(),
+            "payload": metrics.to_dict(),
+        }
+        raw = json.dumps(document, separators=(",", ":"), allow_nan=False).encode("utf-8")
+        self._write_atomic(path, path.stem, raw)
+        self._drop(self._gz(path))  # a legacy compressed twin
+        self.stats.writes += 1
+        return path
 
     def has_metrics(self, config: ExperimentConfig) -> bool:
         """Cheap existence test for the metrics document of ``config``."""
@@ -647,40 +628,6 @@ class ResultStore:
             return None
         self.stats.hits += 1
         return document["payload"]
-
-    def _save(
-        self,
-        path: Path,
-        kind: str,
-        config: ExperimentConfig,
-        payload: Dict[str, Any],
-    ) -> Path:
-        document = {
-            "schema": SCHEMA_VERSION,
-            "kind": kind,
-            "key": path.stem,
-            "config": config.to_dict(),
-            "payload": payload,
-        }
-        raw = json.dumps(document, separators=(",", ":"), allow_nan=False).encode("utf-8")
-        compress = (
-            self.compress_threshold is not None and len(raw) >= self.compress_threshold
-        )
-        if compress:
-            # mtime=0 keeps the compressed bytes a pure function of the
-            # content, so concurrent and serial campaigns produce
-            # byte-identical stores.
-            raw = gzip.compress(raw, mtime=0)
-            target, other = self._gz(path), path
-        else:
-            target, other = path, self._gz(path)
-        self._write_atomic(target, path.stem, raw)
-        # A document that changed size class or format leaves no twin
-        # behind in any other format.
-        self._drop(other)
-        self._drop(self._npz(path))
-        self.stats.writes += 1
-        return target
 
     def _save_npz(self, path: Path, config: ExperimentConfig, result: RunResult) -> Path:
         """Write ``result`` as a deterministic columnar ``.npz`` document.

@@ -13,7 +13,9 @@ the perf benchmarks can hold the fast path to it:
   must match, and kernels running on it;
 * :mod:`oracles.profiles` — the list-only reference profile, and clusters,
   servers and simulations whose profiles are pinned to list or array
-  storage.
+  storage;
+* :mod:`oracles.store` — the retired JSON/gzip document writer, which
+  builds the legacy stores the production store must still read.
 
 The package is imported as ``oracles``: pytest puts ``tests/`` on
 ``sys.path`` for the test suite, and ``benchmarks/conftest.py`` does the

@@ -20,6 +20,7 @@ from repro.analysis.timeline import (
     waiting_jobs_timeline,
 )
 from repro.batch.job import JobState
+from repro.batch.jobtable import JobTable
 from repro.core.results import JobRecord, RunResult
 from repro.grid.simulation import GridSimulation
 from repro.platform.spec import ClusterSpec, PlatformSpec
@@ -45,11 +46,7 @@ def record(job_id, submit=0.0, start=10.0, completion=110.0, procs=2, cluster="a
 
 
 def result_from(records):
-    run = RunResult(label="test")
-    for rec in records:
-        run.records[rec.job_id] = rec
-    run.makespan = max((r.completion_time for r in records if r.completion_time), default=0.0)
-    return run
+    return RunResult.from_table("test", JobTable.from_records(records))
 
 
 class TestDistributionStats:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.batch.cluster import ClusterState
@@ -69,6 +71,32 @@ class TestRunningSet:
         cluster = ClusterState("alpha", 4)
         assert cluster.fits(make_job(1, procs=4))
         assert not cluster.fits(make_job(2, procs=5))
+
+
+class TestUsedProcsCounter:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_counter_matches_running_set_after_every_event(self, seed):
+        """Starts, completions (early or not) and capacity changes keep
+        ``used_procs`` equal to the processors of the running set."""
+        rng = random.Random(seed)
+        cluster = ClusterState("alpha", 16)
+        now, next_id = 0.0, 0
+        for _ in range(300):
+            now += rng.uniform(0.0, 20.0)
+            action = rng.random()
+            running = sorted(e.job.job_id for e in cluster.running_jobs())
+            if action < 0.5:
+                job = make_job(next_id, procs=rng.randint(1, 8),
+                               runtime=100.0, walltime=rng.uniform(200.0, 800.0))
+                next_id += 1
+                if job.procs <= cluster.free_procs:
+                    cluster.start_job(job, start_time=now)
+            elif action < 0.85 and running:
+                cluster.finish_job(rng.choice(running), now if rng.random() < 0.7 else None)
+            else:
+                cluster.apply_capacity(rng.randint(0, 16), now)
+            assert cluster.used_procs == sum(e.procs for e in cluster.running_jobs())
+            assert cluster.free_procs == cluster.capacity - cluster.used_procs >= 0
 
 
 class TestBuildProfile:

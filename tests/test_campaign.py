@@ -246,9 +246,11 @@ class TestDrainUnits:
 
         from repro.store import SCHEMA_VERSION
 
-        store = ResultStore(tmp_path / "store", format="json")
+        from oracles.store import LegacyStore
+
         units = plan_units([config()])
-        drain_units(units, store)
+        drain_units(units, LegacyStore(tmp_path / "store"))
+        store = ResultStore(tmp_path / "store")
         for unit in units:
             path = store.result_path(unit)
             document = json.loads(path.read_text())

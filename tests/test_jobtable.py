@@ -153,12 +153,11 @@ class TestRecordsRoundTrip:
             i: make_record(i, submit=float(i), start=float(i + 1), completion=float(i + 50))
             for i in range(40)
         }
-        result = RunResult(label="rt", records=records, total_reallocations=3,
-                           makespan=89.0)
-        table = result.to_table()
-        back = RunResult.from_table("rt", table, total_reallocations=3)
-        assert back.records == result.records
-        assert back.makespan == result.makespan
+        result = RunResult.from_table("rt", JobTable.from_records(records.values()),
+                                      total_reallocations=3)
+        back = RunResult.from_dict(result.to_dict())
+        assert back.records == result.records == records
+        assert back.makespan == result.makespan == 89.0
 
     def test_job_materialisation(self):
         table = JobTable.from_jobs([make_job(3, submit_time=1.5, procs=4,
@@ -184,7 +183,7 @@ class TestAggregates:
 
     def test_counts_match_run_result(self):
         records, table = self.build()
-        result = RunResult(label="x", records={r.job_id: r for r in records})
+        result = RunResult("x", table=table)
         assert table.completed_count == result.completed_count == 3
         assert table.killed_count == result.killed_count == 1
         assert table.rejected_count == result.rejected_count == 1
@@ -246,8 +245,9 @@ class TestCompareTablesDifferential:
             else:
                 re[i] = make_record(i, submit=submit, state=JobState.REJECTED)
         realloc_total = sum(r.reallocation_count for r in re.values())
-        return (RunResult(label="base", records=base),
-                RunResult(label="re", records=re, total_reallocations=realloc_total))
+        return (RunResult.from_table("base", JobTable.from_records(base.values())),
+                RunResult.from_table("re", JobTable.from_records(re.values()),
+                                     total_reallocations=realloc_total))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_compare_runs_reference(self, seed):
@@ -267,7 +267,7 @@ class TestCompareTablesDifferential:
 
     def test_no_impacted_jobs(self):
         records = {i: make_record(i, start=1.0, completion=10.0) for i in range(5)}
-        result = RunResult(label="same", records=records)
+        result = RunResult.from_table("same", JobTable.from_records(records.values()))
         metrics = compare_tables(result.to_table(), result.to_table())
         assert metrics.impacted_jobs == 0
         assert metrics.relative_response_time == 1.0

@@ -36,6 +36,14 @@ def build_jobs(specs):
     return jobs
 
 
+def run_checking_used_procs(kernel, server):
+    """Run the kernel dry, checking the cluster's processor counter after every event."""
+    cluster = server.cluster
+    while kernel.step():
+        assert cluster.used_procs == sum(e.procs for e in cluster.running_jobs())
+        assert cluster.free_procs == cluster.capacity - cluster.used_procs
+
+
 class TestServerInvariants:
     @given(st.lists(job_spec, min_size=1, max_size=25), st.sampled_from(["fcfs", "cbf"]))
     @settings(max_examples=50, deadline=None)
@@ -45,7 +53,7 @@ class TestServerInvariants:
         jobs = build_jobs(specs)
         for job in jobs:
             kernel.schedule_at(job.submit_time, server.submit, job)
-        kernel.run()
+        run_checking_used_procs(kernel, server)
 
         assert all(job.state is JobState.COMPLETED for job in jobs)
         for job in jobs:
@@ -73,7 +81,7 @@ class TestServerInvariants:
         jobs = build_jobs(specs)
         for job in jobs:
             kernel.schedule_at(job.submit_time, server.submit, job)
-        kernel.run()
+        run_checking_used_procs(kernel, server)
         for job in jobs:
             assert job.killed == (job.runtime > job.walltime)
 

@@ -9,10 +9,13 @@ import os
 import pytest
 
 from repro.batch.job import JobState
+from repro.batch.jobtable import JobTable
 from repro.core.metrics import ComparisonMetrics
 from repro.core.results import JobRecord, RunResult
 from repro.experiments.config import ExperimentConfig
 from repro.store import SCHEMA_VERSION, ResultStore, config_key
+
+from oracles.store import LegacyStore
 
 
 def make_config(**overrides) -> ExperimentConfig:
@@ -28,22 +31,22 @@ def make_config(**overrides) -> ExperimentConfig:
 
 
 def make_result() -> RunResult:
-    records = {
-        1: JobRecord(
+    records = [
+        JobRecord(
             job_id=1, submit_time=0.0, procs=2, runtime=50.0, walltime=100.0,
             origin_site="lyon", final_cluster="alpha", start_time=1.0,
             completion_time=51.0, state=JobState.COMPLETED, killed=False,
             reallocation_count=1,
         ),
-        2: JobRecord(
+        JobRecord(
             job_id=2, submit_time=5.0, procs=1, runtime=10.0, walltime=20.0,
             origin_site=None, final_cluster=None, start_time=None,
             completion_time=None, state=JobState.REJECTED, killed=False,
             reallocation_count=0,
         ),
-    }
+    ]
     return RunResult(
-        label="test/run", records=records, total_reallocations=1,
+        "test/run", table=JobTable.from_records(records), total_reallocations=1,
         reallocation_events=3, makespan=51.0,
         metadata={"scenario": "jan", "scale": 0.004, "n_jobs": 2},
     )
@@ -58,10 +61,13 @@ def make_metrics() -> ComparisonMetrics:
 
 @pytest.fixture
 def store(tmp_path) -> ResultStore:
-    """A legacy-format store: the raw-document tests below peek at and
-    rewrite JSON bytes, so they pin ``format="json"``; the columnar
-    default format is covered by ``tests/test_store_formats.py``."""
-    return ResultStore(tmp_path / "store", format="json")
+    """A store writing legacy JSON documents (:mod:`oracles.store`).
+
+    The raw-document tests below peek at and rewrite JSON bytes, which
+    exercises the JSON read path every store keeps for legacy documents;
+    the ``.npz`` writer is covered by ``tests/test_store_formats.py``.
+    """
+    return LegacyStore(tmp_path / "store")
 
 
 class TestConfigKey:
@@ -242,11 +248,11 @@ class TestGarbageCollection:
         assert not list(store.root.glob("*/??"))
 
 
-class TestCompression:
+class TestLegacyCompressedDocuments:
     @pytest.fixture
     def gz_store(self, tmp_path) -> ResultStore:
-        """A JSON store that compresses every document, however small."""
-        return ResultStore(tmp_path / "store", compress_threshold=0, format="json")
+        """A legacy store whose every document is ``.json.gz``."""
+        return LegacyStore(tmp_path / "store", compress_threshold=0)
 
     def test_round_trip_through_gzip(self, gz_store):
         config, result = make_config(), make_result()
@@ -256,47 +262,20 @@ class TestCompression:
         assert loaded is not None
         assert loaded.to_dict() == result.to_dict()
 
-    def test_threshold_splits_formats(self, tmp_path):
-        # The metrics document is tiny, the result document is not: with a
-        # threshold between the two sizes only the result is compressed.
-        config, result, metrics = make_config(), make_result(), make_metrics()
-        probe = ResultStore(tmp_path / "probe", compress_threshold=None, format="json")
-        result_size = probe.put_result(config, result).stat().st_size
-        metrics_size = probe.put_metrics(config, metrics).stat().st_size
-        assert metrics_size < result_size
-        store = ResultStore(tmp_path / "store", compress_threshold=result_size,
-                            format="json")
-        assert store.put_result(config, result).name.endswith(".json.gz")
-        assert store.put_metrics(config, metrics).name.endswith(".json")
-        assert store.get_result(config) is not None
-        assert store.get_metrics(config) == metrics
-
-    def test_none_threshold_disables_compression(self, tmp_path):
-        store = ResultStore(tmp_path / "store", compress_threshold=None, format="json")
-        path = store.put_result(make_config(), make_result())
-        assert path.name.endswith(".json")
-
-    def test_compressed_bytes_are_deterministic(self, gz_store, tmp_path):
-        other = ResultStore(tmp_path / "other", compress_threshold=0, format="json")
-        config, result = make_config(), make_result()
-        first = gz_store.put_result(config, result)
-        second = other.put_result(config, result)
-        assert first.read_bytes() == second.read_bytes()
-
     def test_plain_reader_still_reads_compressed_store(self, gz_store):
         config, result = make_config(), make_result()
         gz_store.put_result(config, result)
-        reader = ResultStore(gz_store.root)  # default threshold
+        reader = ResultStore(gz_store.root)
         assert reader.get_result(config) is not None
         assert reader.has_result(config)
 
-    def test_rewrite_under_other_threshold_leaves_no_twin(self, gz_store):
-        config, result = make_config(), make_result()
-        gz_path = gz_store.put_result(config, result)
-        rewriter = ResultStore(gz_store.root, compress_threshold=None, format="json")
-        plain_path = rewriter.put_result(config, result)
-        assert plain_path.exists()
-        assert not gz_path.exists()
+    def test_metrics_rewrite_leaves_no_compressed_twin(self, gz_store):
+        config, metrics = make_config(), make_metrics()
+        gz_path = gz_store.put_metrics(config, metrics)
+        assert gz_path.name.endswith(".json.gz")
+        plain_path = ResultStore(gz_store.root).put_metrics(config, metrics)
+        assert plain_path.name.endswith(".json")
+        assert plain_path.exists() and not gz_path.exists()
         assert len(gz_store) == 1
 
     def test_corrupt_gzip_recovers_as_miss(self, gz_store):
@@ -319,7 +298,7 @@ class TestCompression:
         configs = [make_config(seed=20100326 + i) for i in range(3)]
         for config in configs:
             gz_store.put_result(config, make_result())
-        plain = ResultStore(gz_store.root, compress_threshold=None)
+        plain = ResultStore(gz_store.root)
         plain.put_metrics(configs[0], make_metrics())
         assert len(gz_store) == 4
         kept, removed = gz_store.gc({config_key(configs[0])})
@@ -432,7 +411,7 @@ class TestClaims:
         assert not store.has_result(config)
         store.put_result(config, make_result())
         assert store.has_result(config)
-        gz_store = ResultStore(tmp_path / "gz", compress_threshold=0, format="json")
+        gz_store = LegacyStore(tmp_path / "gz", compress_threshold=0)
         gz_store.put_result(config, make_result())
         assert gz_store.has_result(config)
         assert not gz_store.has_metrics(config)
@@ -454,7 +433,7 @@ class TestResultIsCurrent:
         assert store.result_is_current(config)
 
     def test_true_through_gzip(self, tmp_path):
-        store = ResultStore(tmp_path / "store", compress_threshold=0, format="json")
+        store = LegacyStore(tmp_path / "store", compress_threshold=0)
         config = make_config()
         store.put_result(config, make_result())
         assert store.result_is_current(config)
@@ -478,7 +457,7 @@ class TestResultIsCurrent:
         assert not store.result_is_current(config)
 
     def test_false_for_truncated_gzip(self, tmp_path):
-        store = ResultStore(tmp_path / "store", compress_threshold=0, format="json")
+        store = LegacyStore(tmp_path / "store", compress_threshold=0)
         config = make_config()
         path = store.put_result(config, make_result())
         path.write_bytes(path.read_bytes()[:10])

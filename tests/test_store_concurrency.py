@@ -35,9 +35,6 @@ SPEC = SweepSpec(
     heuristics=("mct", "minmin", "maxmin"),
     target_jobs=25,
 )
-#: Force compression of the (small) test documents so the byte-identity
-#: check also covers the gzip path.
-THRESHOLD = 2048
 
 
 def store_bytes(root: Path) -> Dict[str, bytes]:
@@ -50,7 +47,7 @@ def store_bytes(root: Path) -> Dict[str, bytes]:
 
 
 def drain_and_assemble(root: Path, workers: int):
-    store = ResultStore(root, compress_threshold=THRESHOLD)
+    store = ResultStore(root)
     reports = run_distributed_sweep(
         SPEC.configs(), store, workers=workers, poll_interval=0.05
     )
@@ -81,12 +78,12 @@ class TestTwoWorkerDrain:
         serial = store_bytes(serial_root)
         split = store_bytes(split_root)
         assert serial.keys() == split.keys()
-        assert serial == split  # byte-identical documents, gzip included
+        assert serial == split  # byte-identical documents
 
     def test_late_worker_joining_a_drained_sweep_does_nothing(self, tmp_path):
         root = tmp_path / "store"
         drain_and_assemble(root, workers=1)
-        store = ResultStore(root, compress_threshold=THRESHOLD)
+        store = ResultStore(root)
         report = drain_units(plan_units(SPEC.configs()), store)
         assert report.simulated == []
         assert report.store_hits == len(plan_units(SPEC.configs()))
@@ -95,10 +92,10 @@ class TestTwoWorkerDrain:
 class TestClaimCoordination:
     def test_worker_waits_out_a_live_claim_instead_of_duplicating(self, tmp_path):
         """A unit claimed by a live peer is served from its published result."""
-        store = ResultStore(tmp_path / "store", compress_threshold=THRESHOLD)
+        store = ResultStore(tmp_path / "store")
         units = plan_units(SPEC.configs())
         blocked = units[0]
-        peer = ResultStore(store.root, compress_threshold=THRESHOLD)
+        peer = ResultStore(store.root)
         assert peer.try_claim(blocked, owner="peer")
 
         def finish_peer():
@@ -124,10 +121,10 @@ class TestClaimCoordination:
         """A claim that stopped heartbeating never strands the sweep."""
         import os
 
-        store = ResultStore(tmp_path / "store", compress_threshold=THRESHOLD)
+        store = ResultStore(tmp_path / "store")
         units = plan_units(SPEC.configs())
         dead = units[-1]
-        peer = ResultStore(store.root, compress_threshold=THRESHOLD)
+        peer = ResultStore(store.root)
         assert peer.try_claim(dead, owner="crashed")
         lock = peer.lock_path(dead)
         old = os.stat(lock).st_mtime - 10.0
@@ -147,7 +144,7 @@ class TestClaimCoordination:
         """
         import os
 
-        store = ResultStore(tmp_path / "store", compress_threshold=THRESHOLD)
+        store = ResultStore(tmp_path / "store")
         unit = plan_units(SPEC.configs())[0]
         assert store.try_claim(unit, owner="slow-but-alive")
         lock = store.lock_path(unit)
@@ -159,14 +156,14 @@ class TestClaimCoordination:
         assert store.heartbeat(unit)
         assert store.claim_age(unit) < 5.0
 
-        peer = ResultStore(store.root, compress_threshold=THRESHOLD)
+        peer = ResultStore(store.root)
         assert not peer.try_claim(unit, owner="stealer", stale_after=5.0)
         assert peer.stats.stale_takeovers == 0
         assert store.claim_owner(unit) == "slow-but-alive"
 
     def test_heartbeat_requires_a_live_owned_claim(self, tmp_path):
-        store = ResultStore(tmp_path / "store", compress_threshold=THRESHOLD)
-        peer = ResultStore(store.root, compress_threshold=THRESHOLD)
+        store = ResultStore(tmp_path / "store")
+        peer = ResultStore(store.root)
         unit = plan_units(SPEC.configs())[0]
         # No claim at all: nothing to heartbeat.
         assert not store.heartbeat(unit)
@@ -186,7 +183,7 @@ class TestClaimCoordination:
         """The drain loop's heartbeat thread refreshes the lock while working."""
         import os
 
-        store = ResultStore(tmp_path / "store", compress_threshold=THRESHOLD)
+        store = ResultStore(tmp_path / "store")
         unit = plan_units(SPEC.configs())[0]
         assert store.try_claim(unit, owner="worker")
         lock = store.lock_path(unit)
@@ -195,7 +192,7 @@ class TestClaimCoordination:
             time.sleep(0.5)  # several heartbeat intervals (stale_after / 4)
             beaten_mtime = os.stat(lock).st_mtime
         assert beaten_mtime > claimed_mtime
-        peer = ResultStore(store.root, compress_threshold=THRESHOLD)
+        peer = ResultStore(store.root)
         assert not peer.try_claim(unit, owner="stealer", stale_after=30.0)
 
     def test_worker_entry_point_round_trips_through_a_pool(self, tmp_path):
@@ -203,7 +200,6 @@ class TestClaimCoordination:
         units = plan_units(SPEC.configs())
         payload = {
             "store": str(tmp_path / "store"),
-            "compress_threshold": THRESHOLD,
             "units": [config.to_dict() for config in units],
             "stale_after": 30.0,
             "poll_interval": 0.05,
@@ -220,7 +216,7 @@ class TestSweepStatus:
     """The read-only cross-host progress view over a shared store."""
 
     def test_untouched_sweep_is_all_pending(self, tmp_path):
-        store = ResultStore(tmp_path / "store", compress_threshold=THRESHOLD)
+        store = ResultStore(tmp_path / "store")
         units = plan_units(SPEC.configs())
         status = sweep_status(units, store)
         assert (status.total, status.done, status.claimed, status.pending) == (
@@ -232,15 +228,15 @@ class TestSweepStatus:
     def test_status_tracks_done_claimed_and_stale(self, tmp_path):
         import os
 
-        store = ResultStore(tmp_path / "store", compress_threshold=THRESHOLD)
+        store = ResultStore(tmp_path / "store")
         units = plan_units(SPEC.configs())
         assert len(units) >= 3
         # One unit done, one freshly claimed, one claimed-but-silent.
         outcome = run_campaign([units[0]]).results[units[0]]
         store.put_result(units[0], outcome)
-        worker_a = ResultStore(store.root, compress_threshold=THRESHOLD)
+        worker_a = ResultStore(store.root)
         assert worker_a.try_claim(units[1], owner="host-a:1")
-        worker_b = ResultStore(store.root, compress_threshold=THRESHOLD)
+        worker_b = ResultStore(store.root)
         assert worker_b.try_claim(units[2], owner="host-b:2")
         lock = worker_b.lock_path(units[2])
         old = os.stat(lock).st_mtime - 120.0
@@ -259,11 +255,11 @@ class TestSweepStatus:
 
     def test_status_never_writes_or_locks(self, tmp_path):
         """Polling the status leaves the store byte-identical."""
-        store = ResultStore(tmp_path / "store", compress_threshold=THRESHOLD)
+        store = ResultStore(tmp_path / "store")
         units = plan_units(SPEC.configs())
         outcome = run_campaign([units[0]]).results[units[0]]
         store.put_result(units[0], outcome)
-        watcher = ResultStore(store.root, compress_threshold=THRESHOLD)
+        watcher = ResultStore(store.root)
         assert watcher.try_claim(units[1], owner="worker")
         before = store_bytes(store.root)
         locks_before = sorted(str(p) for p in store.root.glob("locks/??/*.lock"))

@@ -1,10 +1,11 @@
-"""Store document formats: columnar ``.npz`` default, JSON legacy, migration.
+"""Store document formats: the ``.npz`` writer and legacy JSON reads.
 
-:mod:`tests.test_store` pins ``format="json"`` and exercises the legacy
-document machinery byte by byte; this module covers the columnar default
-and the migration story between the two formats — round trips, byte
-determinism, transparent legacy read-back, mixed-format maintenance
-(gc / invalidate / stats / len), corruption and version handling, and the
+:mod:`tests.test_store` exercises the legacy JSON document machinery byte
+by byte through the retired writer (:mod:`oracles.store`); this module
+covers the ``.npz`` writer and the read-back of legacy documents — round
+trips, byte determinism, transparent legacy reads, mixed-format
+maintenance (gc / invalidate / stats / len), corruption and version
+handling, the committed legacy fixture under ``tests/fixtures/``, and the
 ``repro store stats`` command.
 """
 
@@ -13,21 +14,23 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import shutil
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.__main__ import main
 from repro.batch.job import JobState
+from repro.batch.jobtable import JobTable
+from repro.core.metrics import compare_tables
 from repro.core.results import JobRecord, RunResult
+from repro.experiments.campaign import execute_config, run_campaign
 from repro.experiments.config import ExperimentConfig
-from repro.store import (
-    DEFAULT_RESULT_FORMAT,
-    RESULT_FORMATS,
-    ResultStore,
-    config_key,
-)
+from repro.store import ResultStore, config_key
+
+from oracles.store import LegacyStore
 
 
 def make_config(**overrides) -> ExperimentConfig:
@@ -61,15 +64,15 @@ def make_result(label: str = "test/run") -> RunResult:
     fractional completion time (heterogeneous-speed shape), exercising
     both sides of the writer's lossless integer downcast.
     """
-    records = {
-        1: record(1),
-        2: record(2, origin_site=None, final_cluster=None, start_time=None,
-                  completion_time=None, state=JobState.REJECTED,
-                  reallocation_count=0),
-        3: record(3, completion_time=4.0 + 50.0 / 1.4, killed=True),
-    }
+    records = [
+        record(1),
+        record(2, origin_site=None, final_cluster=None, start_time=None,
+               completion_time=None, state=JobState.REJECTED,
+               reallocation_count=0),
+        record(3, completion_time=4.0 + 50.0 / 1.4, killed=True),
+    ]
     return RunResult(
-        label=label, records=records, total_reallocations=1,
+        label, table=JobTable.from_records(records), total_reallocations=1,
         reallocation_events=3, makespan=54.0,
         metadata={"scenario": "jan", "scale": 0.004, "n_jobs": 3},
     )
@@ -77,18 +80,14 @@ def make_result(label: str = "test/run") -> RunResult:
 
 @pytest.fixture
 def store(tmp_path) -> ResultStore:
-    return ResultStore(tmp_path / "store")  # columnar default
+    return ResultStore(tmp_path / "store")
 
 
 class TestNpzRoundTrip:
-    def test_default_format_is_npz(self, store):
-        assert DEFAULT_RESULT_FORMAT == "npz"
-        assert store.format == "npz"
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            ResultStore(tmp_path / "store", format="parquet")
-        assert set(RESULT_FORMATS) == {"npz", "json"}
+    def test_store_takes_no_format_options(self, tmp_path):
+        for option in ({"format": "json"}, {"compress_threshold": 0}):
+            with pytest.raises(TypeError):
+                ResultStore(tmp_path / "store", **option)
 
     def test_put_writes_npz_document_only(self, store):
         path = store.put_result(make_config(), make_result())
@@ -153,15 +152,15 @@ class TestNpzRoundTrip:
 
 class TestLegacyMigration:
     def test_reads_legacy_json_documents(self, tmp_path):
-        legacy = ResultStore(tmp_path / "store", format="json")
+        legacy = LegacyStore(tmp_path / "store")
         original = make_result()
         legacy.put_result(make_config(), original)
-        modern = ResultStore(tmp_path / "store")  # npz-format reader
+        modern = ResultStore(tmp_path / "store")
         loaded = modern.get_result(make_config())
         assert loaded == original
 
     def test_reads_legacy_gz_documents(self, tmp_path):
-        legacy = ResultStore(tmp_path / "store", format="json", compress_threshold=0)
+        legacy = LegacyStore(tmp_path / "store", compress_threshold=0)
         original = make_result()
         path = legacy.put_result(make_config(), original)
         assert path.name.endswith(".json.gz")
@@ -169,30 +168,23 @@ class TestLegacyMigration:
         assert modern.get_result(make_config()) == original
 
     def test_rewrite_in_npz_drops_json_twin(self, tmp_path):
-        legacy = ResultStore(tmp_path / "store", format="json")
+        legacy = LegacyStore(tmp_path / "store")
         json_path = legacy.put_result(make_config(), make_result())
         modern = ResultStore(tmp_path / "store")
         npz_path = modern.put_result(make_config(), modern.get_result(make_config()))
         assert npz_path.exists() and not json_path.exists()
 
-    def test_rewrite_in_json_drops_npz_twin(self, tmp_path):
-        modern = ResultStore(tmp_path / "store")
-        npz_path = modern.put_result(make_config(), make_result())
-        legacy = ResultStore(tmp_path / "store", format="json")
-        json_path = legacy.put_result(make_config(), make_result())
-        assert json_path.exists() and not npz_path.exists()
-
     def test_mixed_store_len_counts_both_formats(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         store.put_result(make_config(), make_result())
-        legacy = ResultStore(tmp_path / "store", format="json")
+        legacy = LegacyStore(tmp_path / "store")
         legacy.put_result(make_config(seed=7), make_result())
         assert len(store) == 2
 
     def test_mixed_store_gc_keeps_either_format(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         store.put_result(make_config(), make_result())
-        legacy = ResultStore(tmp_path / "store", format="json")
+        legacy = LegacyStore(tmp_path / "store")
         legacy.put_result(make_config(seed=7), make_result())
         legacy.put_result(make_config(seed=8), make_result())
         kept, removed = store.gc([config_key(make_config()),
@@ -216,13 +208,90 @@ class TestLegacyMigration:
     def test_disk_stats_breaks_down_by_format(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         store.put_result(make_config(), make_result())
-        legacy = ResultStore(tmp_path / "store", format="json")
+        legacy = LegacyStore(tmp_path / "store")
         legacy.put_result(make_config(seed=7), make_result())
         results = store.disk_stats()["results"]
         assert results["npz"]["documents"] == 1
         assert results["json"]["documents"] == 1
         assert results["npz"]["bytes"] > 0 and results["json"]["bytes"] > 0
         assert "json.gz" not in results
+
+
+#: A store written by the JSON writer of an earlier version: the result of
+#: one reallocation cell as ``.json``, its baseline as ``.json.gz`` (written
+#: with ``compress_threshold=0``) and the cell's metrics as ``.json``.
+LEGACY_FIXTURE = Path(__file__).parent / "fixtures" / "legacy_store"
+LEGACY_REALLOC = ExperimentConfig(
+    scenario="pwa-g5k", batch_policy="cbf", algorithm="cancellation",
+    heuristic="mct", scale=0.0006,
+)
+LEGACY_BASELINE = LEGACY_REALLOC.baseline()
+
+
+def _fixture_files(root: Path) -> dict:
+    """Relative path -> bytes of every document under ``root``."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+def _without_gzip_os_byte(raw: bytes) -> bytes:
+    """Gzip bytes minus the header's OS field (byte 9).
+
+    Python 3.10's gzip module writes 255 there, later versions let zlib
+    fill it in; the deflate stream and every other byte are the same.
+    """
+    return raw[:9] + raw[10:]
+
+
+class TestLegacyFixture:
+    def test_legacy_store_reads_back_and_matches_the_oracle_writer(self, tmp_path):
+        # Reads may drop documents, so work on a copy of the fixture.
+        root = tmp_path / "legacy_store"
+        shutil.copytree(LEGACY_FIXTURE, root)
+        store = ResultStore(root)
+
+        baseline = execute_config(LEGACY_BASELINE)
+        realloc = execute_config(LEGACY_REALLOC)
+        for config, fresh in ((LEGACY_REALLOC, realloc), (LEGACY_BASELINE, baseline)):
+            assert store.result_is_current(config)
+            assert store.get_result(config).to_dict() == fresh.to_dict()
+        expected = compare_tables(baseline.to_table(), realloc.to_table(),
+                                  reallocations=realloc.total_reallocations)
+        assert expected.reallocations > 0
+        assert store.get_metrics(LEGACY_REALLOC) == expected
+        assert (store.stats.hits, store.stats.misses) == (3, 0)
+        assert store.stats.corrupt_dropped == store.stats.version_dropped == 0
+
+        counts = {
+            namespace: {fmt: entry["documents"] for fmt, entry in formats.items()}
+            for namespace, formats in store.disk_stats().items()
+        }
+        assert counts == {"results": {"json": 1, "json.gz": 1},
+                          "metrics": {"json": 1}}
+        assert len(store) == 3
+
+        campaign = run_campaign([LEGACY_BASELINE, LEGACY_REALLOC], store=store)
+        assert campaign.stats.simulated == 0
+        assert campaign.metrics[LEGACY_REALLOC] == expected
+
+        # The retired writer, kept in oracles.store, writes these bytes.
+        rewritten = tmp_path / "rewritten"
+        LegacyStore(rewritten, compress_threshold=None).put_result(LEGACY_REALLOC, realloc)
+        LegacyStore(rewritten, compress_threshold=0).put_result(LEGACY_BASELINE, baseline)
+        LegacyStore(rewritten, compress_threshold=None).put_metrics(LEGACY_REALLOC, expected)
+        fixture, ours = _fixture_files(LEGACY_FIXTURE), _fixture_files(rewritten)
+        assert fixture.keys() == ours.keys()
+        for name, raw in fixture.items():
+            if name.endswith(".gz"):
+                assert gzip.decompress(ours[name]) == gzip.decompress(raw), name
+                assert _without_gzip_os_byte(ours[name]) == _without_gzip_os_byte(raw), name
+            else:
+                assert ours[name] == raw, name
+        # A production metrics write is byte-identical to the legacy one.
+        plain = ResultStore(tmp_path / "plain").put_metrics(LEGACY_REALLOC, expected)
+        assert plain.read_bytes() == fixture[str(plain.relative_to(tmp_path / "plain"))]
 
 
 def _rewrite_header(path, mutate) -> None:
@@ -293,7 +362,7 @@ class TestStoreStatsCommand:
     def test_text_breakdown(self, tmp_path, capsys):
         store = ResultStore(tmp_path / "store")
         store.put_result(make_config(), make_result())
-        legacy = ResultStore(tmp_path / "store", format="json")
+        legacy = LegacyStore(tmp_path / "store")
         legacy.put_result(make_config(seed=7), make_result())
         main(["store", "stats", "--store", str(tmp_path / "store")])
         out = capsys.readouterr().out
@@ -307,13 +376,11 @@ class TestStoreStatsCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["namespaces"]["results"]["npz"]["documents"] == 1
 
-    def test_campaign_uses_store_format_option(self, tmp_path, capsys):
-        main([
-            "campaign", "run", "--algorithm", "standard",
-            "--platform", "homogeneous", "--target-jobs", "12",
-            "--store", str(tmp_path / "store"), "--store-format", "json",
-        ])
-        capsys.readouterr()
-        stats = ResultStore(tmp_path / "store").disk_stats()
-        assert "npz" not in stats["results"]
-        assert set(stats["results"]) <= {"json", "json.gz"}
+    def test_store_format_option_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main([
+                "campaign", "run", "--algorithm", "standard",
+                "--platform", "homogeneous", "--target-jobs", "12",
+                "--store", str(tmp_path / "store"), "--store-format", "json",
+            ])
+        assert "--store-format" in capsys.readouterr().err
