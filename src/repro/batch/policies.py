@@ -223,55 +223,70 @@ class IncrementalPlanner:
                 return index
         return -1
 
+    def planned_end(self, job_id: int) -> float:
+        """Planned completion of a waiting job (``inf`` if absent or unplaceable)."""
+        entry = self.plan.entry_of(job_id)
+        return entry.planned_end if entry is not None else math.inf
+
+    def estimate(self, job: Job) -> float:
+        """Expected completion time of one job, as a pure query.
+
+        The scalar form of :meth:`estimate_many`: ``inf`` when the job
+        does not fit the cluster, its planned completion when it waits
+        here, else one hypothetical tail placement
+        (:meth:`_hypothetical_end`).
+        """
+        if not self.cluster.fits(job):
+            return math.inf
+        if job.job_id in self.waiting_ids:
+            return self.planned_end(job.job_id)
+        return self._hypothetical_end(job.procs, job.walltime_on(self.speed))
+
+    def _hypothetical_end(self, procs: int, duration: float) -> float:
+        """End of one job placed now at the tail of the queue, reserving nothing.
+
+        The search starts at the FCFS frontier when the policy keeps queue
+        order, else at ``now``; the live residual is never mutated.
+        """
+        earliest = self.frontier() if self.keep_queue_order else self.plan.now
+        start = self.plan.residual.earliest_slot(procs, duration, earliest)
+        return start + duration if math.isfinite(start) else math.inf
+
     def estimate_many(self, jobs: Sequence[Job]) -> List[float]:
         """Expected completion time of every job in ``jobs``, as pure queries.
 
-        A job already waiting here reports its planned completion; any
-        other job is placed *hypothetically* at the end of the queue
-        (respecting the FCFS frontier when the policy keeps queue order)
-        against the live residual profile, which is never mutated.  The
-        hypothetical placements go through one ``earliest_slot_many``
-        call — in array storage one table of the residual's open runs
-        serves every distinct processor count of the batch, and all
-        jobs are resolved against it at once — with results
-        float-identical to per-job ``earliest_slot`` queries.  The
-        whole-queue plan lookup is only materialised when a queried job
-        is waiting here, and a lone hypothetical placement takes the
-        scalar ``earliest_slot``.
+        Float-identical to :meth:`estimate` per job.  The hypothetical
+        placements of two or more jobs go through one
+        ``earliest_slot_many`` call — in array storage one table of the
+        residual's open runs serves every distinct processor count of the
+        batch, and all jobs are resolved against it at once; a lone
+        hypothetical placement takes :meth:`_hypothetical_end`.
         """
         waiting_ids = self.waiting_ids
-        residual = self.plan.residual
         speed = self.speed
         cluster = self.cluster
-        plan = None
         estimates: List[float] = [math.inf] * len(jobs)
         pending: List[tuple[int, int, float]] = []
         for position, job in enumerate(jobs):
             if not cluster.fits(job):
                 continue
             if job.job_id in waiting_ids:
-                if plan is None:
-                    plan = self.cluster_plan()
-                estimates[position] = plan.planned_end(job.job_id)
+                estimates[position] = self.planned_end(job.job_id)
                 continue
             pending.append((position, job.procs, job.walltime_on(speed)))
-        if not pending:
-            return estimates
-        earliest = self.frontier() if self.keep_queue_order else self.plan.now
-        if len(pending) > 1:
-            starts = residual.earliest_slot_many(
+        if len(pending) == 1:
+            position, procs, duration = pending[0]
+            estimates[position] = self._hypothetical_end(procs, duration)
+        elif pending:
+            earliest = self.frontier() if self.keep_queue_order else self.plan.now
+            starts = self.plan.residual.earliest_slot_many(
                 [procs for _, procs, _ in pending],
                 [duration for _, _, duration in pending],
                 earliest,
             )
-        else:
-            starts = [
-                residual.earliest_slot(procs, duration, earliest)
-                for _, procs, duration in pending
-            ]
-        for (position, _, duration), start in zip(pending, starts):
-            if math.isfinite(start):
-                estimates[position] = start + duration
+            for (position, _, duration), start in zip(pending, starts):
+                if math.isfinite(start):
+                    estimates[position] = start + duration
         return estimates
 
     # ------------------------------------------------------------------ #

@@ -49,10 +49,16 @@ class ClusterPlan:
 
     __slots__ = ("cluster_name", "computed_at", "_entries")
 
-    def __init__(self, cluster_name: str, computed_at: float) -> None:
+    def __init__(
+        self,
+        cluster_name: str,
+        computed_at: float,
+        entries: Optional[Dict[int, PlannedJob]] = None,
+    ) -> None:
         self.cluster_name = cluster_name
         self.computed_at = computed_at
-        self._entries: Dict[int, PlannedJob] = {}
+        #: job id -> entry; ``entries`` is copied, not shared
+        self._entries: Dict[int, PlannedJob] = dict(entries) if entries else {}
 
     def add(self, entry: PlannedJob) -> None:
         """Record a planned job (one entry per job id)."""
@@ -115,6 +121,12 @@ class IncrementalPlan:
         :meth:`splice` takes the lower of the two plans' floors.  Callers
         that need the exact minimum recompute it and store it back.
 
+    One-job lookups (:meth:`entry_of`) go through a job id → entry map
+    built in one pass on first use.  A time advance leaves it valid, a
+    tail placement or a started job edits it in O(1), and only the edits
+    that rewrite a suffix (:meth:`restore_suffix`, :meth:`splice`,
+    :meth:`reset`) drop it.
+
     The **dirty-suffix invariant** ties the two together: at every queue
     position ``k``, the profile the reference planner would see before
     placing job ``k`` equals ``residual`` plus the reservations of entries
@@ -125,7 +137,7 @@ class IncrementalPlan:
     """
 
     __slots__ = (
-        "cluster_name", "now", "entries", "residual", "floor", "_cached_plan", "_frontier",
+        "cluster_name", "now", "entries", "residual", "floor", "_by_id", "_frontier",
     )
 
     def __init__(self, cluster_name: str, residual: AvailabilityProfile, now: float) -> None:
@@ -134,7 +146,7 @@ class IncrementalPlan:
         self.entries: List[PlannedJob] = []
         self.residual = residual
         self.floor = math.inf
-        self._cached_plan: Optional[ClusterPlan] = None
+        self._by_id: Optional[Dict[int, PlannedJob]] = None
         self._frontier: Optional[float] = None
 
     # ------------------------------------------------------------------ #
@@ -143,14 +155,18 @@ class IncrementalPlan:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def _entry_map(self) -> Dict[int, PlannedJob]:
+        if self._by_id is None:
+            self._by_id = {entry.job_id: entry for entry in self.entries}
+        return self._by_id
+
+    def entry_of(self, job_id: int) -> Optional[PlannedJob]:
+        """Entry of ``job_id`` (``None`` when it is not in the plan)."""
+        return self._entry_map().get(job_id)
+
     def as_cluster_plan(self) -> ClusterPlan:
-        """Materialise the entries as a regular :class:`ClusterPlan` (cached)."""
-        if self._cached_plan is None:
-            plan = ClusterPlan(self.cluster_name, computed_at=self.now)
-            for entry in self.entries:
-                plan.add(entry)
-            self._cached_plan = plan
-        return self._cached_plan
+        """Materialise the entries as a regular :class:`ClusterPlan`."""
+        return ClusterPlan(self.cluster_name, self.now, self._entry_map())
 
     def frontier(self) -> float:
         """FCFS queue-order frontier: latest finite planned start (or ``now``).
@@ -171,7 +187,7 @@ class IncrementalPlan:
     # Mutation                                                           #
     # ------------------------------------------------------------------ #
     def _invalidate(self) -> None:
-        self._cached_plan = None
+        self._by_id = None
         self._frontier = None
 
     def advance(self, now: float) -> None:
@@ -180,7 +196,6 @@ class IncrementalPlan:
             return
         self.residual.advance(now)
         self.now = now
-        self._cached_plan = None
         # The frontier is max(now, latest finite start): a cached value
         # only needs the new left edge folded in.
         if self._frontier is not None and now > self._frontier:
@@ -201,7 +216,8 @@ class IncrementalPlan:
         # A tail append can only raise the frontier, so the cached value is
         # maintained instead of recomputed — submits stay O(1) in queue
         # depth on the frontier side.
-        self._cached_plan = None
+        if self._by_id is not None:
+            self._by_id[job_id] = entry
         if (
             self._frontier is not None
             and math.isfinite(start)
@@ -262,7 +278,7 @@ class IncrementalPlan:
         residual.compact()
         self.residual = residual
         self.floor = min(self.floor, floor)
-        self._cached_plan = None
+        self._by_id = None
         self._frontier = frontier
 
     def remove_started(self, index: int) -> None:
@@ -272,8 +288,10 @@ class IncrementalPlan:
         from the planned suffix to the cluster's running set, which is the
         one transition that costs nothing under the dirty-suffix invariant.
         """
-        del self.entries[index]
-        self._invalidate()
+        entry = self.entries.pop(index)
+        if self._by_id is not None:
+            del self._by_id[entry.job_id]
+        self._frontier = None
 
     def reset(self, residual: AvailabilityProfile, now: float) -> None:
         """Restart from a fresh base profile (full replan)."""

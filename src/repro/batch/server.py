@@ -339,20 +339,24 @@ class BatchServer:
           back-filling when the policy is CBF), computed as a pure query
           against the live residual profile.
         * ``math.inf`` when the job cannot fit on this cluster.
+
+        One job is one scalar planner query
+        (:meth:`IncrementalPlanner.estimate`): no batch is built.
         """
-        return self.estimate_completion_many((job,))[0]
+        self._planner.advance(self.kernel.now)
+        return self._planner.estimate(job)
 
     def estimate_completion_many(self, jobs: Sequence[Job]) -> List[float]:
         """ECT of every job in ``jobs``, one column refresh in a single pass.
 
         Semantically identical to calling :meth:`estimate_completion` per
-        job, but the per-query constant work — advancing the planner,
-        materialising the plan lookup and resolving the FCFS frontier — is
-        paid once for the whole batch.  This is the query the grid layer's
-        estimate table issues when a reallocation touches this cluster and
-        the ECT column of every remaining candidate must be refreshed: the
-        estimates are pure what-if placements against the live residual
-        profile, so the batch never mutates scheduling state.
+        job, but the per-query constant work — advancing the planner and
+        resolving the FCFS frontier — is paid once for the whole batch.
+        This is the query the grid layer's estimate table issues when a
+        reallocation touches this cluster and the ECT column of every
+        remaining candidate must be refreshed: the estimates are pure
+        what-if placements against the live residual profile, so the batch
+        never mutates scheduling state.
         """
         if not jobs:
             return []
@@ -362,10 +366,9 @@ class BatchServer:
     def planned_completion(self, job: Job) -> float:
         """Planned completion time of a job already waiting on this cluster."""
         self._planner.advance(self.kernel.now)
-        plan = self._planner.cluster_plan()
-        if job.job_id not in plan:
+        if not self._planner.contains(job.job_id):
             raise BatchServerError(f"job {job.job_id} is not waiting on cluster {self.name}")
-        return plan.planned_end(job.job_id)
+        return self._planner.planned_end(job.job_id)
 
     def planned_schedule(self) -> ClusterPlan:
         """Current plan of the waiting queue (one entry per waiting job)."""

@@ -66,6 +66,7 @@ class EstimateMatrix:
     __slots__ = (
         "clusters",
         "col_index",
+        "_name_order",
         "_cols_by_name",
         "_ects",
         "_fits",
@@ -88,12 +89,12 @@ class EstimateMatrix:
             name: index for index, name in enumerate(self.clusters)
         }
         # Column indices sorted by cluster name: the (ECT, name) tie-break
-        # of best_cols/best_other_cols picks the first candidate in this
+        # of best_col/best_other_cols picks the first candidate in this
         # order, matching a scalar min over (value, name) pairs.
-        self._cols_by_name = np.array(
-            sorted(range(len(self.clusters)), key=lambda col: self.clusters[col]),
-            dtype=np.intp,
+        self._name_order: List[int] = sorted(
+            range(len(self.clusters)), key=lambda col: self.clusters[col]
         )
+        self._cols_by_name = np.array(self._name_order, dtype=np.intp)
         capacity = _INITIAL_CAPACITY
         width = len(self.clusters)
         self._ects = np.full((capacity, width), np.inf, dtype=np.float64)
@@ -350,28 +351,25 @@ class EstimateMatrix:
         """Fits sub-matrix of the given rows (a copy; all columns)."""
         return self._fits[rows]
 
-    def _pick_named(
-        self, rows: np.ndarray, ects: np.ndarray, fits: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Shared (ECT, name)-tie-break argmin over fitting columns."""
-        if self.n_clusters == 0:
-            empty = np.full(len(rows), np.inf)
-            return np.full(len(rows), -1, dtype=np.int64), empty
-        best = np.min(ects, axis=1)
-        candidates = fits & (ects == best[:, None])
-        by_name = candidates[:, self._cols_by_name]
-        cols = self._cols_by_name[np.argmax(by_name, axis=1)].astype(np.int64)
-        return np.where(fits.any(axis=1), cols, -1), best
+    def best_col(self, row: int) -> int:
+        """Column of one row's best fitting cluster, or -1 when it fits nowhere.
 
-    def best_cols(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row (best column, best ECT) over the fitting clusters.
-
-        Ties on the ECT value are broken by cluster *name*, and a row that
-        fits nowhere reports ``(-1, inf)``.  With every fitting ECT infinite
-        the name-smallest fitting column is still reported, exactly like a
-        scalar ``min`` over the ``(value, name)`` pairs of an ECT dict.
+        The minimum over the ``(ECT, name)`` pairs of the fitting
+        clusters: ties on the ECT value go to the smallest cluster *name*,
+        and with every fitting ECT infinite the name-smallest fitting
+        column is still reported — exactly a scalar ``min`` over the
+        pairs of an ECT dict.
         """
-        return self._pick_named(rows, self._ects[rows], self._fits[rows])
+        self._check_row(row)
+        ects = self._ects[row].tolist()
+        fits = self._fits[row].tolist()
+        best_col = -1
+        best = math.inf
+        for col in self._name_order:
+            if fits[col] and (best_col < 0 or ects[col] < best):
+                best_col = col
+                best = ects[col]
+        return best_col
 
     def best_other_cols(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-row (column, ECT) of the best cluster excluding the current.
@@ -379,13 +377,20 @@ class EstimateMatrix:
         The row's current column is excluded from the minimum, and
         ``(-1, inf)`` means no *other* cluster fits.
         """
-        ects = self._ects[rows].copy()
-        fits = self._fits[rows].copy()
+        if self.n_clusters == 0:
+            return np.full(len(rows), -1, dtype=np.int64), np.full(len(rows), np.inf)
+        ects = self._ects[rows]
+        fits = self._fits[rows]
         current = self._current_col[rows]
         placed = np.flatnonzero(current >= 0)
         ects[placed, current[placed]] = np.inf
         fits[placed, current[placed]] = False
-        return self._pick_named(rows, ects, fits)
+        # (ECT, name) tie-break: the first minimal fitting column in name order.
+        best = np.min(ects, axis=1)
+        candidates = fits & (ects == best[:, None])
+        by_name = candidates[:, self._cols_by_name]
+        cols = self._cols_by_name[np.argmax(by_name, axis=1)].astype(np.int64)
+        return np.where(fits.any(axis=1), cols, -1), best
 
     # ------------------------------------------------------------------ #
     # Derived vectors (bit-identical to the scalar reference)            #

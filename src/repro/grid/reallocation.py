@@ -498,6 +498,10 @@ class ReallocationAgent:
         return waiting
 
     # -- Algorithm 1 ----------------------------------------------------- #
+    def _started_count(self) -> int:
+        """Jobs started so far over every server."""
+        return sum(server.started_count for server in self.servers)
+
     def _tick_standard(self) -> int:
         """Algorithm 1 over the persistent engine, drained vectorised.
 
@@ -518,23 +522,30 @@ class ReallocationAgent:
         matrix = engine.matrix
         moves = 0
         remaining = matrix.alive_rows()
+        scanned_starts = self._started_count()
         while remaining.size:
             # Prune candidates that started meanwhile (cancelling a queue
-            # head can let the local scheduler start jobs behind it).
-            keep = np.fromiter(
-                (
-                    engine.job_of(matrix.job_id_at(int(row))).state is JobState.WAITING
-                    for row in remaining
-                ),
-                dtype=bool,
-                count=remaining.size,
-            )
-            if not keep.all():
-                for row in remaining[~keep]:
-                    engine.discard(matrix.job_id_at(int(row)))
-                remaining = remaining[keep]
-                if remaining.size == 0:
-                    break
+            # head can let the local scheduler start jobs behind it).  The
+            # clock stands still within a tick, so a candidate can only
+            # leave the waiting state by starting: the states are re-read
+            # only after some server started a job since the last scan.
+            started = self._started_count()
+            if started != scanned_starts:
+                scanned_starts = started
+                keep = np.fromiter(
+                    (
+                        engine.job_of(matrix.job_id_at(row)).state is JobState.WAITING
+                        for row in remaining.tolist()
+                    ),
+                    dtype=bool,
+                    count=remaining.size,
+                )
+                if not keep.all():
+                    for row in remaining[~keep].tolist():
+                        engine.discard(matrix.job_id_at(row))
+                    remaining = remaining[keep]
+                    if remaining.size == 0:
+                        break
             keys = self.heuristic.key_array(matrix, remaining)
             order = np.lexsort(
                 (matrix.job_ids(remaining), matrix.submit_times(remaining), keys)
@@ -615,9 +626,7 @@ class ReallocationAgent:
         cluster_epoch: Dict[str, int] = {}
         epoch = 0
         moves = 0
-        single = np.zeros(1, dtype=np.intp)
-        for row in rows[order]:
-            row = int(row)
+        for row in rows[order].tolist():
             job = engine.job_of(matrix.job_id_at(row))
             last_seen = int(row_epoch[row])
             for name, stamp in cluster_epoch.items():
@@ -635,9 +644,7 @@ class ReallocationAgent:
                 if name == current_cluster:
                     matrix.set_current(row, current_cluster, value)
             row_epoch[row] = epoch
-            single[0] = row
-            cols, _ = matrix.best_cols(single)
-            col = int(cols[0])
+            col = matrix.best_col(row)
             target_name = (
                 matrix.clusters[col] if col >= 0 else previous_cluster[job.job_id]
             )
@@ -665,13 +672,10 @@ class ReallocationAgent:
         """
         matrix = engine.matrix
         moves = 0
-        single = np.zeros(1, dtype=np.intp)
         while matrix.alive_count:
             row = self.heuristic.select_index(matrix)
             job = engine.job_of(matrix.job_id_at(row))
-            single[0] = row
-            cols, _ = matrix.best_cols(single)
-            col = int(cols[0])
+            col = matrix.best_col(row)
             target_name = (
                 matrix.clusters[col] if col >= 0 else previous_cluster[job.job_id]
             )

@@ -22,6 +22,9 @@ a closed trace:
   :class:`SubmitRejected` (policy ``reject``) or :meth:`submit` awaits
   until the queue drains below ``low_water`` (policy ``await``).  The
   hysteresis prevents flapping at the mark.
+* **Clean failure.**  If an admission pass raises, the loop stops: every
+  ticket it can no longer admit ends ``failed``, later offers are refused,
+  and :meth:`MetaSchedulerService.shutdown` re-raises the error.
 * **Swappable clock.**  All timing goes through a
   :class:`~repro.service.clock.Clock`: virtual mode drives the simulation
   kernel as fast as the hardware allows (benchmarks, CI, tests), real
@@ -87,6 +90,7 @@ class TicketState(enum.Enum):
     COMPLETED = "completed"  #: finished (normally or killed at walltime)
     CANCELLED = "cancelled"  #: cancelled before it started
     REJECTED = "rejected"  #: mapped to no cluster (fits nowhere)
+    FAILED = "failed"  #: never mapped: the admission loop failed first
 
 
 #: Job states that map one-to-one onto ticket states once admitted.
@@ -309,6 +313,8 @@ class MetaSchedulerService:
         self._retired: Deque[int] = deque()
         self._next_job_id = 1
         self._closing = False
+        #: the error that stopped the admission loop (``None`` while healthy)
+        self._failure: Optional[Exception] = None
         self._task: Optional[asyncio.Task] = None
         self._wake = asyncio.Event()
         self._below_low_water = asyncio.Event()
@@ -324,6 +330,7 @@ class MetaSchedulerService:
         self.rejected_backpressure = 0
         self.rejected_full = 0
         self.rejected_closing = 0
+        self.failed = 0
         self.backpressure_engagements = 0
         self.admission_passes = 0
         self._latencies: Deque[float] = deque(maxlen=self.config.latency_window)
@@ -369,7 +376,10 @@ class MetaSchedulerService:
     def health(self) -> Dict[str, object]:
         """Liveness document (what ``GET /health`` returns)."""
         return {
-            "status": "draining" if self._closing else "ok",
+            "status": (
+                "failed" if self._failure is not None
+                else "draining" if self._closing else "ok"
+            ),
             "clock": self.clock.mode,
             "now": self.clock.now(),
             "queue_depth": self.queue_depth,
@@ -398,6 +408,7 @@ class MetaSchedulerService:
             "rejected_backpressure": self.rejected_backpressure,
             "rejected_full": self.rejected_full,
             "rejected_closing": self.rejected_closing,
+            "failed": self.failed,
             "queue_depth": self.queue_depth,
             "in_flight": self.in_flight,
             "admission_passes": self.admission_passes,
@@ -437,13 +448,18 @@ class MetaSchedulerService:
         Raises
         ------
         SubmitRejected
-            When the service is shutting down, the queue is at its hard
-            bound, or backpressure is engaged under the ``reject`` policy.
+            When the service is shutting down or its admission loop
+            failed, the queue is at its hard bound, or backpressure is
+            engaged under the ``reject`` policy.
         ValueError
             On invalid job parameters (propagated from :class:`Job`).
         """
         if self._closing:
             self.rejected_closing += 1
+            if self._failure is not None:
+                raise SubmitRejected(
+                    "failed", f"admission loop failed: {self._failure!r}"
+                )
             raise SubmitRejected("closing", "service is shutting down")
         depth = self.queue_depth
         if depth >= self.config.max_queue:
@@ -553,6 +569,8 @@ class MetaSchedulerService:
         clusters stay in flight — the returned document reports them, so
         a supervisor can hand the kernel to :meth:`run_until_idle` or
         persist state.  Idempotent.
+
+        Raises the error that stopped the admission loop, if one did.
         """
         self._closing = True
         queued_cancelled = 0
@@ -570,6 +588,8 @@ class MetaSchedulerService:
         if self._task is not None:
             await self._task
             self._task = None
+        if self._failure is not None:
+            raise self._failure
         return {
             "drained": drain,
             "queued_cancelled": queued_cancelled,
@@ -598,6 +618,12 @@ class MetaSchedulerService:
         return self.kernel.fired_events - fired_before
 
     async def _admission_loop(self) -> None:
+        try:
+            await self._admission_passes()
+        except Exception as exc:
+            self._fail(exc)
+
+    async def _admission_passes(self) -> None:
         config = self.config
         pending = self._pending
         while True:
@@ -643,22 +669,54 @@ class MetaSchedulerService:
             self.reallocation_ticks += 1
 
     def _admit(self, batch: List[Ticket]) -> None:
-        """Map one admission batch through the bulk MCT path."""
+        """Map one admission batch through the bulk MCT path.
+
+        A job the pass mapped (or rejected as unmappable) has left the
+        ``PENDING`` state; its ticket is admitted even when the pass raises
+        part-way, and the others stay queued for :meth:`_fail`.
+        """
         self.admission_passes += 1
-        jobs = [ticket.job for ticket in batch]
-        chosen = self.scheduler.submit_many(jobs)
-        admitted_at = self.clock.now()
-        stamp = time.perf_counter()
-        latencies = self._latencies
-        for ticket, server in zip(batch, chosen):
-            ticket.admitted_at = admitted_at
-            latency = stamp - ticket._enqueued_perf
-            ticket.admit_latency_s = latency
-            latencies.append(latency)
-            self.admitted += 1
-            if server is None:
-                self.rejected_unmappable += 1
-                self._retire(ticket)
+        try:
+            self.scheduler.submit_many([ticket.job for ticket in batch])
+        finally:
+            admitted_at = self.clock.now()
+            stamp = time.perf_counter()
+            latencies = self._latencies
+            for ticket in batch:
+                state = ticket.job.state
+                if state is JobState.PENDING:
+                    continue
+                ticket.admitted_at = admitted_at
+                latency = stamp - ticket._enqueued_perf
+                ticket.admit_latency_s = latency
+                latencies.append(latency)
+                self.admitted += 1
+                if state is JobState.REJECTED:
+                    self.rejected_unmappable += 1
+                    self._retire(ticket)
+
+    def _fail(self, error: Exception) -> None:
+        """The admission loop died: fail every queued ticket, refuse new work.
+
+        The tickets still queued — those of the pass that raised and the
+        admission queue behind it — can no longer be admitted, so each
+        ends ``failed`` and retires; the emptied queue reads depth 0.
+        Offers are refused from now on, and :meth:`shutdown` re-raises
+        ``error``.
+        """
+        self._failure = error
+        self._closing = True
+        stranded = [
+            ticket for ticket in self._registry.values()
+            if ticket.state is TicketState.QUEUED
+        ]
+        for ticket in stranded:
+            ticket._queued_state = TicketState.FAILED
+            self._retire(ticket)
+        self.failed += len(stranded)
+        self._pending.clear()
+        self._cancelled_in_queue = 0
+        self._below_low_water.set()
 
     def _engage_backpressure(self) -> None:
         self.backpressure_engaged = True

@@ -18,6 +18,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.estimation import EstimateMatrix
 from repro.core.heuristics import HEURISTIC_NAMES, get_heuristic
@@ -140,6 +142,49 @@ class TestDifferentialSelection:
         matrix.discard_row(0)
         with pytest.raises(ValueError):
             get_heuristic("minmin").select_index(matrix)
+
+
+class TestBestCol:
+    """``best_col`` against a dict-min over the row's fitting (value, name) pairs."""
+
+    @given(
+        names=st.permutations(["delta", "alpha", "charlie", "bravo"]).flatmap(
+            lambda order: st.integers(1, len(order)).map(lambda n: order[:n])
+        ),
+        rows=st.lists(
+            st.lists(
+                st.tuples(st.booleans(), st.sampled_from([5.0, 7.0, 7.0, math.inf])),
+                min_size=4,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        pick=st.integers(0, 5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dict_min(self, names, rows, pick):
+        # Names out of column order, ECT ties, all-infinite fitting
+        # entries and rows that fit nowhere all come up.
+        matrix = EstimateMatrix(names)
+        row_ects = []
+        for job_id, cells in enumerate(rows):
+            ects = {name: value for name, (fits, value) in zip(names, cells) if fits}
+            matrix.add_row(job_id, 0.0, 1, ects)
+            row_ects.append(ects)
+        row = pick % len(rows)
+        ects = row_ects[row]
+        if ects:
+            _, name = min((value, name) for name, value in ects.items())
+            expected = matrix.col_index[name]
+        else:
+            expected = -1
+        assert matrix.best_col(row) == expected
+
+    def test_out_of_range_row(self):
+        matrix = EstimateMatrix(["a", "b"])
+        with pytest.raises(IndexError):
+            matrix.best_col(0)
 
 
 class TestDerivedVectors:

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch.job import Job, JobState
+from repro.batch.policies import get_policy
+from repro.batch.server import BatchServer
 from repro.grid.simulation import GridSimulation
 from repro.platform.spec import ClusterSpec, PlatformSpec
 from repro.sim.kernel import SimulationKernel
+from oracles.profiles import mode_of, use_server_mode
 from tests.conftest import make_server
 
 # Random rigid jobs on an 8-core box: submit time, procs, runtime, walltime factor.
@@ -84,6 +89,86 @@ class TestServerInvariants:
         run_checking_used_procs(kernel, server)
         for job in jobs:
             assert job.killed == (job.runtime > job.walltime)
+
+
+def loaded_server(storage, policy, speed, specs, steps):
+    """An 8-processor server after ``specs`` were submitted at t=0 and
+    ``steps`` kernel events fired (starts, early and walltime ends)."""
+    kernel = SimulationKernel()
+    server = BatchServer(kernel, "alpha", 8, speed, policy=policy)
+    if storage != "adaptive":
+        use_server_mode(server, storage)
+    jobs = [
+        Job(job_id=index, submit_time=0.0, procs=procs, runtime=runtime,
+            walltime=max(1.0, runtime * factor))
+        for index, (_, procs, runtime, factor) in enumerate(specs)
+    ]
+    for job in jobs:
+        server.submit(job)
+    for _ in range(steps):
+        if not kernel.step():
+            break
+    return server, jobs
+
+
+class TestScalarEstimate:
+    """``estimate_completion`` (scalar) against ``estimate_completion_many([job])[0]``."""
+
+    @given(
+        storage=st.sampled_from(["list", "array", "adaptive"]),
+        policy=st.sampled_from(["fcfs", "cbf"]),
+        speed=st.sampled_from([1.0, 1.5]),
+        specs=st.lists(job_spec, min_size=1, max_size=20),
+        steps=st.integers(0, 6),
+        probe=st.one_of(
+            st.tuples(st.just("known"), st.integers(0, 19)),
+            st.tuples(st.just("fresh"), st.integers(1, 8)),
+            st.tuples(st.just("oversized"), st.integers(9, 16)),
+        ),
+        duration=st.floats(1.0, 2000.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_matches_batch_of_one(
+        self, storage, policy, speed, specs, steps, probe, duration
+    ):
+        # "known" probes a submitted job: waiting here, or running or
+        # completed (hypothetical placement); the others are new jobs.
+        # The batch of one must also leave the residual in the same
+        # storage, with the same score, as the scalar query.
+        scalar_server, scalar_jobs = loaded_server(storage, policy, speed, specs, steps)
+        batch_server, batch_jobs = loaded_server(storage, policy, speed, specs, steps)
+        kind, value = probe
+        if kind == "known":
+            index = value % len(specs)
+            scalar_probe, batch_probe = scalar_jobs[index], batch_jobs[index]
+        else:
+            scalar_probe, batch_probe = (
+                Job(job_id=1000, submit_time=0.0, procs=value, runtime=duration,
+                    walltime=duration)
+                for _ in range(2)
+            )
+        scalar = scalar_server.estimate_completion(scalar_probe)
+        batched = batch_server.estimate_completion_many([batch_probe])[0]
+        assert scalar == batched
+        # Both answer what the from-scratch planner gives the probe when it
+        # waits here or is appended to the queue now.
+        now = scalar_server.kernel.now
+        queue = scalar_server.waiting_jobs()
+        if not scalar_server.has_waiting(scalar_probe):
+            queue.append(scalar_probe)
+        if kind == "oversized":
+            expected = math.inf
+        else:
+            reference = get_policy(policy)(
+                scalar_server.cluster.build_profile(now), queue, speed, now
+            )
+            expected = reference.planned_end(scalar_probe.job_id)
+        assert scalar == expected
+        scalar_residual = scalar_server._planner.residual
+        batch_residual = batch_server._planner.residual
+        assert mode_of(scalar_residual) == mode_of(batch_residual)
+        assert scalar_residual._score == batch_residual._score
+        assert list(scalar_residual.breakpoints()) == list(batch_residual.breakpoints())
 
 
 class TestSimulationInvariants:

@@ -115,6 +115,30 @@ class TestAlgorithm1:
         assert moves == 2
         assert all(job.cluster == "two" for job in queued)
 
+    def test_candidate_started_mid_tick_is_pruned(self, kernel):
+        # FCFS cluster one: 2 of its 4 processors run until t=1000, the
+        # head needs all 4 and waits for them, and the 2-processor job
+        # behind it may not start before the head.  Moving the head to the
+        # idle, twice as fast cluster two lets that job start at once,
+        # mid-tick; its stale row would still show a gain on two (end 100
+        # there, 200 on one), so the tick must drop it instead of trying
+        # to move a running job.
+        s1 = make_server(kernel, "one", procs=4)
+        s2 = make_server(kernel, "two", procs=4, speed=2.0)
+        s1.submit(make_job(1, procs=2, runtime=1000.0, walltime=1000.0))
+        head = make_job(2, procs=4, runtime=100.0, walltime=100.0)
+        behind = make_job(3, procs=2, runtime=100.0, walltime=100.0)
+        s1.submit(head)
+        s1.submit(behind)
+        assert s1.planned_completion(behind) == 1200.0
+        agent = ReallocationAgent(kernel, [s1, s2], heuristic="mct", algorithm="standard")
+        assert agent.run_once() == 1
+        assert head.cluster == "two" and head.reallocation_count == 1
+        assert behind.state is JobState.RUNNING
+        assert behind.cluster == "one" and behind.start_time == 0.0
+        assert behind.reallocation_count == 0
+        assert agent.engine.matrix.alive_count == 0
+
 
 class TestAlgorithm2:
     def build(self, kernel):

@@ -135,6 +135,59 @@ class TestLifecycle:
         asyncio.run(run())
 
 
+class TestAdmissionFailure:
+    """An admission pass that raises stops the loop without stranding anyone."""
+
+    def test_failed_pass_retires_tickets_refuses_offers_and_reraises(self):
+        async def run():
+            service = make_service(admission_batch=2)
+            client = ServiceClient(service)
+            tickets = [client.offer(procs=1, runtime=10.0) for _ in range(5)]
+            submit_many = service.scheduler.submit_many
+            passes = []
+
+            def flaky(jobs):
+                passes.append(len(jobs))
+                if len(passes) == 2:
+                    # Map the first job of the second pass, then fail.
+                    submit_many(jobs[:1])
+                    raise RuntimeError("mapping blew up")
+                return submit_many(jobs)
+
+            service.scheduler.submit_many = flaky
+            task = service.start()
+            # Callers polling for an empty admission queue are released.
+            await asyncio.wait_for(client.drain(), timeout=5.0)
+            await asyncio.wait_for(asyncio.shield(task), timeout=5.0)
+            assert task.exception() is None  # nothing left unretrieved
+            assert passes == [2, 2]
+            # First pass admitted; the second mapped one job before failing;
+            # its other ticket and the one still queued behind it failed.
+            assert [t.state for t in tickets] == [
+                TicketState.RUNNING,
+                TicketState.RUNNING,
+                TicketState.RUNNING,
+                TicketState.FAILED,
+                TicketState.FAILED,
+            ]
+            assert service.queue_depth == 0
+            assert service.admitted == 3
+            assert service.failed == 2
+            assert service.stats()["failed"] == 2
+            assert service.health()["status"] == "failed"
+            with pytest.raises(SubmitRejected) as exc_info:
+                client.offer(procs=1, runtime=10.0)
+            assert exc_info.value.reason == "failed"
+            with pytest.raises(RuntimeError, match="mapping blew up"):
+                await service.shutdown()
+            # The jobs that did reach a cluster still run to completion.
+            service.run_until_idle()
+            assert service.completed == 3
+            assert service.in_flight == 0
+
+        asyncio.run(run())
+
+
 class TestCancel:
     def test_cancel_queued_job(self):
         async def run():
