@@ -125,7 +125,7 @@ def run_profile(profile: str, policy: BatchPolicy, blockers, waiting, churn, pro
         "estimate_s": t3 - t2,
         "total_s": t3 - t0,
     }
-    return sections, planner.cluster_plan(), estimates
+    return sections, list(planner.plan.entries), estimates
 
 
 def best_run(repetitions: int, profile, policy, workload):
@@ -136,22 +136,6 @@ def best_run(repetitions: int, profile, policy, workload):
         if best is None or run[0]["total_s"] < best[0]["total_s"]:
             best = run
     return best
-
-
-def plans_identical(left, right):
-    if len(left) != len(right):
-        return False
-    for entry in left:
-        other = right.get(entry.job_id)
-        if other is None:
-            return False
-        if (entry.planned_start, entry.planned_end, entry.procs) != (
-            other.planned_start,
-            other.planned_end,
-            other.procs,
-        ):
-            return False
-    return True
 
 
 def test_availability_engine_speedup():
@@ -174,7 +158,7 @@ def test_availability_engine_speedup():
             }
             sections, plan, estimates = runs["adaptive"]
             base_sections, base_plan, base_estimates = runs[baseline]
-            assert plans_identical(plan, base_plan), (
+            assert plan == base_plan, (
                 f"depth {depth} {policy}: plan diverged from the {baseline} profile"
             )
             assert estimates == base_estimates, (

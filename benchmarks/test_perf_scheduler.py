@@ -6,7 +6,8 @@ and completion-estimate storms — through two planning engines:
 
 * **reference** — the historical behaviour: every event invalidates the
   plan and the whole waiting queue is replanned from a freshly built
-  availability profile (``plan_fcfs`` / ``plan_cbf``);
+  availability profile (``plan_fcfs`` / ``plan_cbf`` of
+  ``oracles.planners``);
 * **incremental** — the :class:`~repro.batch.policies.IncrementalPlanner`
   used by the batch server since the event-driven refactor: suffix-only
   replanning over a live residual profile.
@@ -25,8 +26,9 @@ import random
 from perfutil import best_of, publish_report, speedup as wall_speedup
 
 from repro.batch.job import Job
-from repro.batch.policies import BatchPolicy, IncrementalPlanner, plan_cbf, plan_fcfs
+from repro.batch.policies import BatchPolicy, IncrementalPlanner
 
+from oracles.planners import PLANNERS, build_profile
 from oracles.profiles import cluster_on
 
 #: Waiting jobs in the benchmark queue (the acceptance floor is depth 200).
@@ -40,11 +42,6 @@ MIN_SPEEDUP = 3.0
 
 TOTAL_PROCS = 64
 BENCH_SEED = 20100326
-
-_REFERENCE_PLANNERS = {
-    BatchPolicy.FCFS: plan_fcfs,
-    BatchPolicy.CBF: plan_cbf,
-}
 
 
 def bench_workload():
@@ -86,13 +83,13 @@ def make_cluster(blockers):
 
 def run_reference(policy, blockers, waiting, churn, probes):
     """Every event: rebuild the profile and replan the whole queue."""
-    plan_fn = _REFERENCE_PLANNERS[policy]
+    plan_fn = PLANNERS[policy]
     cluster = make_cluster(blockers)
     queue = []
 
     def replan():
-        profile = cluster.build_profile(0.0)
-        plan = plan_fn(profile, queue, 1.0, 0.0, "bench")
+        profile = build_profile(cluster, 0.0)
+        plan = plan_fn(profile, queue, 1.0, 0.0)
         last_start = 0.0
         for entry in plan:
             if math.isfinite(entry.planned_start):
@@ -136,23 +133,7 @@ def run_incremental(policy, blockers, waiting, churn, probes):
         planner.submit(victim, 0.0)
         for probe in probes[: ESTIMATES_PER_EVENT]:
             estimate(probe)
-    return planner.cluster_plan()
-
-
-def plans_identical(left, right):
-    if len(left) != len(right):
-        return False
-    for entry in left:
-        other = right.get(entry.job_id)
-        if other is None:
-            return False
-        if (entry.planned_start, entry.planned_end, entry.procs) != (
-            other.planned_start,
-            other.planned_end,
-            other.procs,
-        ):
-            return False
-    return True
+    return list(planner.plan.entries)
 
 
 def test_incremental_scheduler_speedup():
@@ -175,7 +156,8 @@ def test_incremental_scheduler_speedup():
             2, run_incremental, policy, blockers, waiting, churn, probes
         )
 
-        assert plans_identical(reference_plan, incremental_plan), (
+        # Same entries, same floats, in the same (queue) order.
+        assert list(reference_plan) == incremental_plan, (
             f"{policy}: incremental plan diverged from the reference plan"
         )
         speedup = wall_speedup(reference_s, incremental_s)

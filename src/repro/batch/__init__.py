@@ -13,8 +13,9 @@ subpackage re-implements the pieces of Simbatch the paper relies on:
 * :class:`~repro.batch.profile.AvailabilityProfile` — the step function of
   free processors over future time used to compute reservations.
 * :mod:`repro.batch.policies` — the two local scheduling policies of the
-  paper: FCFS (first-come-first-served with conservative reservations) and
-  CBF (conservative back-filling).
+  paper, FCFS (first-come-first-served with conservative reservations) and
+  CBF (conservative back-filling), both planned by one event-driven
+  :class:`~repro.batch.policies.IncrementalPlanner`.
 * :class:`~repro.batch.cluster.ClusterState` — processors, speed factor and
   the set of running jobs of one cluster.
 * :class:`~repro.batch.server.BatchServer` — the per-cluster frontal that
@@ -25,16 +26,9 @@ subpackage re-implements the pieces of Simbatch the paper relies on:
 from repro.batch.cluster import ClusterState, RunningJob
 from repro.batch.job import Job, JobState
 from repro.batch.jobtable import JobTable
-from repro.batch.policies import (
-    BatchPolicy,
-    IncrementalPlanner,
-    PlanningPolicy,
-    get_policy,
-    plan_cbf,
-    plan_fcfs,
-)
+from repro.batch.policies import BatchPolicy, IncrementalPlanner
 from repro.batch.profile import AvailabilityProfile, ProfileError
-from repro.batch.schedule import ClusterPlan, IncrementalPlan, PlannedJob
+from repro.batch.schedule import IncrementalPlan, PlannedJob
 from repro.batch.server import BatchServer, BatchServerError
 
 __all__ = [
@@ -42,7 +36,6 @@ __all__ = [
     "BatchPolicy",
     "BatchServer",
     "BatchServerError",
-    "ClusterPlan",
     "ClusterState",
     "IncrementalPlan",
     "IncrementalPlanner",
@@ -50,10 +43,6 @@ __all__ = [
     "JobState",
     "JobTable",
     "PlannedJob",
-    "PlanningPolicy",
     "ProfileError",
     "RunningJob",
-    "get_policy",
-    "plan_cbf",
-    "plan_fcfs",
 ]

@@ -10,8 +10,8 @@ The cluster also owns the *live* availability profile of its running set:
 profile, :meth:`ClusterState.finish_job` releases the unused tail of the
 window when a job completes early, and :meth:`ClusterState.availability`
 advances the profile to the current time — no per-event reconstruction.
-:meth:`ClusterState.build_profile` keeps the historical from-scratch
-construction as the reference implementation for the differential oracle.
+The from-scratch construction from the running set, which the
+differential suites hold it to, lives in ``tests/oracles/planners.py``.
 
 Since the dynamic-platform refactor the cluster's capacity is a function
 of time: :meth:`ClusterState.apply_capacity` shrinks or grows the live
@@ -195,8 +195,8 @@ class ClusterState:
         Returns the killed :class:`RunningJob` entries in kill order (the
         caller requeues the jobs and cancels their completion events).
         The running set and the live profile stay mutually consistent, so
-        :meth:`build_profile` remains a valid from-scratch reference after
-        any sequence of capacity changes.
+        a profile rebuilt from the running set at the current capacity
+        equals the live one after any sequence of capacity changes.
         """
         if new_capacity < 0:
             raise ValueError(
@@ -228,34 +228,12 @@ class ClusterState:
         The live profile is maintained incrementally by
         :meth:`start_job`/:meth:`finish_job` (and by capacity changes);
         this accessor only drops breakpoints that fell into the past.  As
-        a step function over ``[now, inf)`` the result is identical to
-        :meth:`build_profile`, without the per-call reconstruction from
-        the running set.
+        a step function over ``[now, inf)`` the result is identical to a
+        profile rebuilt from the running set at the current capacity, each
+        job holding its processors to its walltime end.
         """
         self._profile.advance(now)
         return self._profile.copy()
-
-    def build_profile(self, now: float) -> AvailabilityProfile:
-        """Availability profile from ``now``, rebuilt from the running set.
-
-        The occupation of each running job extends to its *walltime* end,
-        which is all the scheduler knows before the job actually finishes.
-        The base capacity is the cluster's *current* capacity (nominal
-        size on static platforms).  This is the from-scratch reference
-        construction; the scheduling hot path uses :meth:`availability`
-        instead, and the differential property suite asserts the two stay
-        equal.
-        """
-        profile = AvailabilityProfile(self.capacity, start_time=now)
-        for entry in self._running.values():
-            end = entry.walltime_end
-            if end <= now:
-                # The job is at its walltime boundary; its completion event
-                # fires at this same timestamp before any planning query, so
-                # this only happens transiently.  Treat it as already gone.
-                continue
-            profile.subtract(now, end, entry.procs)
-        return profile
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -66,10 +66,19 @@ OUTCOME_COLUMNS: Tuple[Tuple[str, np.dtype], ...] = (
 )
 
 
+def _codes_within(codes: np.ndarray, size: int) -> bool:
+    """True when every category code indexes a list of ``size`` entries.
+
+    A negative code would index from the end of the list, so it is
+    rejected like one past its end.
+    """
+    return not len(codes) or (int(codes.min()) >= 0 and int(codes.max()) < size)
+
+
 class JobTable:
     """Append-only columnar store of job records.
 
-    Rows are appended (``add_job`` / ``append`` / ``extend``) and never
+    Rows are appended (``add_job`` / ``append``) and never
     removed; indices are therefore stable for the lifetime of the table.
     Columns are exposed as read-only views trimmed to the live row count.
     """
@@ -110,20 +119,6 @@ class JobTable:
         for job in jobs:
             table.add_job(job)
         return table
-
-    @classmethod
-    def from_swf_file(
-        cls,
-        path,
-        site: Optional[str] = None,
-        walltime_factor: Optional[float] = None,
-    ) -> "JobTable":
-        """Stream an SWF log (plain or ``.gz``) straight into columns."""
-        from repro.workload.swf import DEFAULT_WALLTIME_FACTOR, iter_swf_file
-
-        if walltime_factor is None:
-            walltime_factor = DEFAULT_WALLTIME_FACTOR
-        return cls.from_jobs(iter_swf_file(path, site=site, walltime_factor=walltime_factor))
 
     @classmethod
     def from_records(cls, records: Iterable["object"]) -> "JobTable":
@@ -292,17 +287,17 @@ class JobTable:
         table._n = n
         table._sites = list(sites)
         table._site_index = {site: i for i, site in enumerate(table._sites)}
-        if n and not 0 <= int(table._site_code[:n].max()) < len(table._sites):
-            raise ValueError("site codes exceed the site category list")
+        if not _codes_within(table._site_code[:n], len(table._sites)):
+            raise ValueError("site codes fall outside the site category list")
         if has_outcomes:
             table._clusters = list(clusters) if clusters is not None else [None]
             table._cluster_index = {
                 cluster: i for i, cluster in enumerate(table._clusters)
             }
-            if n and not 0 <= int(table._cluster_code[:n].max()) < len(table._clusters):
-                raise ValueError("cluster codes exceed the cluster category list")
-            if n and not 0 <= int(table._state[:n].max()) < len(_STATE_ORDER):
-                raise ValueError("state codes exceed the JobState order")
+            if not _codes_within(table._cluster_code[:n], len(table._clusters)):
+                raise ValueError("cluster codes fall outside the cluster category list")
+            if not _codes_within(table._state[:n], len(_STATE_ORDER)):
+                raise ValueError("state codes fall outside the JobState order")
         return table
 
     def to_columns(
@@ -394,11 +389,6 @@ class JobTable:
                 final_cluster=job.cluster,
             )
         return index
-
-    def extend(self, jobs: Iterable[Job]) -> None:
-        """Append every job of an iterable (streaming-friendly)."""
-        for job in jobs:
-            self.add_job(job)
 
     def set_outcome(
         self,

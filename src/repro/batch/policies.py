@@ -13,28 +13,24 @@ earlier-queued job.  The difference is where the reservation may be placed:
   (i.e. the earlier-queued jobs) are untouched.  Available in Maui,
   LoadLeveler and OAR.
 
-Planning comes in two equivalent flavours:
-
-* the *reference* planners :func:`plan_fcfs` / :func:`plan_cbf` —
-  pure functions from ``(profile, queue, speed, now)`` to a
-  :class:`~repro.batch.schedule.ClusterPlan`, rebuilding the whole plan;
-* the :class:`IncrementalPlanner` — the event-driven engine used by the
-  :class:`~repro.batch.server.BatchServer`, which maintains the *same*
-  plan across submit/cancel/start/completion events by editing only the
-  affected queue suffix.  The differential property suite asserts the two
-  flavours agree on randomized event sequences.
+One planner serves both: the :class:`IncrementalPlanner` used by the
+:class:`~repro.batch.server.BatchServer`, which keeps the plan of the
+waiting queue across submit/cancel/start/completion events by editing only
+the affected queue suffix.  Its from-scratch reference, which rebuilds
+the whole plan per call, lives in ``tests/oracles/planners.py``; the
+differential suites assert the two agree on randomized event sequences.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, Iterable, List, Protocol, Sequence
+from typing import List, Sequence
 
 from repro.batch.cluster import ClusterState
 from repro.batch.job import Job
 from repro.batch.profile import AvailabilityProfile
-from repro.batch.schedule import ClusterPlan, IncrementalPlan, PlannedJob
+from repro.batch.schedule import IncrementalPlan
 
 
 class BatchPolicy(enum.Enum):
@@ -47,100 +43,16 @@ class BatchPolicy(enum.Enum):
         return self.value.upper()
 
 
-class PlanningPolicy(Protocol):
-    """Signature of a planning function."""
-
-    def __call__(
-        self,
-        profile: AvailabilityProfile,
-        queue: Sequence[Job],
-        speed: float,
-        now: float,
-        cluster_name: str = "",
-    ) -> ClusterPlan:  # pragma: no cover - protocol definition
-        ...
-
-
-def _plan(
-    profile: AvailabilityProfile,
-    queue: Sequence[Job],
-    speed: float,
-    now: float,
-    cluster_name: str,
-    keep_queue_order: bool,
-) -> ClusterPlan:
-    """Shared planning loop for FCFS and CBF.
-
-    Jobs are placed one by one in queue order.  ``keep_queue_order`` adds
-    the FCFS constraint that a job may not start before the previous job in
-    the queue.
-    """
-    plan = ClusterPlan(cluster_name, computed_at=now)
-    previous_start = now
-    for job in queue:
-        duration = job.walltime_on(speed)
-        earliest = previous_start if keep_queue_order else now
-        start = profile.earliest_slot(job.procs, duration, earliest)
-        if math.isfinite(start):
-            profile.subtract(start, start + duration, job.procs)
-            end = start + duration
-        else:
-            end = math.inf
-        plan.add(PlannedJob(job.job_id, job.procs, start, end))
-        if keep_queue_order and math.isfinite(start):
-            previous_start = start
-    return plan
-
-
-def plan_fcfs(
-    profile: AvailabilityProfile,
-    queue: Sequence[Job],
-    speed: float,
-    now: float,
-    cluster_name: str = "",
-) -> ClusterPlan:
-    """First-come-first-served conservative planning.
-
-    The reservation of each job is the earliest slot that is not before the
-    reservation of the previous job in the queue, so jobs start in queue
-    order (ties resolved by processor availability).
-    """
-    return _plan(profile, queue, speed, now, cluster_name, keep_queue_order=True)
-
-
-def plan_cbf(
-    profile: AvailabilityProfile,
-    queue: Sequence[Job],
-    speed: float,
-    now: float,
-    cluster_name: str = "",
-) -> ClusterPlan:
-    """Conservative back-filling planning.
-
-    Each job is placed at the earliest slot available in the profile after
-    the reservations of all earlier-queued jobs have been subtracted; it may
-    therefore start before an earlier-queued job (back-filling), but it can
-    never delay one (conservative).
-    """
-    return _plan(profile, queue, speed, now, cluster_name, keep_queue_order=False)
-
-
-_POLICIES: dict[BatchPolicy, PlanningPolicy] = {
-    BatchPolicy.FCFS: plan_fcfs,
-    BatchPolicy.CBF: plan_cbf,
-}
-
-
 class IncrementalPlanner:
     """Event-driven planner producing the reference plans at suffix cost.
 
     One planner serves both policies: FCFS is CBF plus the queue-order
-    constraint (``keep_queue_order``), exactly as in :func:`_plan`.  The
-    planner owns the waiting queue (``jobs``) and an
-    :class:`~repro.batch.schedule.IncrementalPlan` and keeps, between any
-    two events, the invariant that its entries are byte-identical to what
-    ``plan_fcfs``/``plan_cbf`` would compute from scratch over
-    ``(cluster.build_profile(now), jobs, speed, now)``.
+    constraint (``keep_queue_order``).  The planner owns the waiting queue
+    (``jobs``) and an :class:`~repro.batch.schedule.IncrementalPlan` and
+    keeps, between any two events, the invariant that its entries are
+    byte-identical to placing ``jobs`` one by one in queue order, from
+    scratch, on the cluster's base availability at ``now`` (the reference
+    planners of ``tests/oracles/planners.py``).
 
     Per-event cost:
 
@@ -201,10 +113,6 @@ class IncrementalPlanner:
     def residual(self) -> AvailabilityProfile:
         """Residual profile after every planned reservation (do not mutate)."""
         return self.plan.residual
-
-    def cluster_plan(self) -> ClusterPlan:
-        """Current plan of the waiting queue as a :class:`ClusterPlan`."""
-        return self.plan.as_cluster_plan()
 
     def frontier(self) -> float:
         """FCFS frontier: earliest start allowed for a job appended now."""
@@ -474,29 +382,3 @@ class IncrementalPlanner:
             f"IncrementalPlanner({self.cluster.name}, {self.policy}, "
             f"{len(self.jobs)} waiting)"
         )
-
-
-def get_policy(policy: "BatchPolicy | str") -> PlanningPolicy:
-    """Resolve a policy identifier (enum member or name) to its function."""
-    if isinstance(policy, str):
-        try:
-            policy = BatchPolicy(policy.lower())
-        except ValueError as exc:
-            valid = ", ".join(p.value for p in BatchPolicy)
-            raise ValueError(f"unknown batch policy {policy!r}; expected one of {valid}") from exc
-    return _POLICIES[policy]
-
-
-def iter_policies() -> Iterable[tuple[BatchPolicy, PlanningPolicy]]:
-    """Iterate over ``(identifier, planning function)`` pairs."""
-    return _POLICIES.items()
-
-
-def policy_name(policy: "BatchPolicy | Callable[..., ClusterPlan]") -> str:
-    """Human-readable name of a policy identifier or planning function."""
-    if isinstance(policy, BatchPolicy):
-        return str(policy)
-    for ident, func in _POLICIES.items():
-        if func is policy:
-            return str(ident)
-    return getattr(policy, "__name__", repr(policy))

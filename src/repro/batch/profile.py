@@ -10,7 +10,8 @@ The profile is a sorted sequence of breakpoints ``(time, free)``; the last
 breakpoint extends to infinity.  Profiles support two usage styles:
 
 * *throw-away* profiles built per planning pass (the historical style,
-  still used by the reference planners and the differential oracle);
+  now only used by the from-scratch reference planners of
+  ``tests/oracles/planners.py``);
 * *live* profiles owned by :class:`~repro.batch.cluster.ClusterState` and
   the incremental planner, updated in place as jobs start and finish:
   :meth:`AvailabilityProfile.advance` drops past breakpoints when

@@ -1,22 +1,21 @@
 """Planned schedules of waiting jobs.
 
-A :class:`ClusterPlan` is the output of one planning pass of a local
-scheduling policy over the waiting queue of a cluster: for every waiting
-job it records the planned start and the planned (walltime-based)
-completion.  Reference plans are throw-away objects recomputed from
-scratch; the scheduling hot path instead maintains an
-:class:`IncrementalPlan` — the same entries plus the *residual*
-availability profile left after every placed reservation — which supports
-suffix replanning: appending a job at the tail places exactly one
-reservation, and replanning from queue position ``k`` restores only the
-reservations of positions ``k..end`` before placing them again.
+One planning pass of a local scheduling policy over the waiting queue of
+a cluster records, for every waiting job, a :class:`PlannedJob`: the
+planned start and the planned (walltime-based) completion.  The
+scheduling hot path maintains them in an :class:`IncrementalPlan` — the
+entries in queue order plus the *residual* availability profile left
+after every placed reservation — which supports suffix replanning:
+appending a job at the tail places exactly one reservation, and
+replanning from queue position ``k`` restores only the reservations of
+positions ``k..end`` before placing them again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.batch.profile import AvailabilityProfile
 
@@ -34,70 +33,9 @@ class PlannedJob:
     planned_start: float
     planned_end: float
 
-    @property
-    def planned_duration(self) -> float:
-        """Length of the reservation (walltime scaled to the cluster speed)."""
-        return self.planned_end - self.planned_start
-
     def is_feasible(self) -> bool:
         """False when the policy could not place the job (start is infinite)."""
         return math.isfinite(self.planned_start)
-
-
-class ClusterPlan:
-    """Mapping from job id to :class:`PlannedJob` for one planning pass."""
-
-    __slots__ = ("cluster_name", "computed_at", "_entries")
-
-    def __init__(
-        self,
-        cluster_name: str,
-        computed_at: float,
-        entries: Optional[Dict[int, PlannedJob]] = None,
-    ) -> None:
-        self.cluster_name = cluster_name
-        self.computed_at = computed_at
-        #: job id -> entry; ``entries`` is copied, not shared
-        self._entries: Dict[int, PlannedJob] = dict(entries) if entries else {}
-
-    def add(self, entry: PlannedJob) -> None:
-        """Record a planned job (one entry per job id)."""
-        if entry.job_id in self._entries:
-            raise ValueError(f"job {entry.job_id} already planned on {self.cluster_name}")
-        self._entries[entry.job_id] = entry
-
-    def get(self, job_id: int) -> Optional[PlannedJob]:
-        """Planned placement of ``job_id`` or ``None`` if it is not in the plan."""
-        return self._entries.get(job_id)
-
-    def __contains__(self, job_id: int) -> bool:
-        return job_id in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[PlannedJob]:
-        return iter(self._entries.values())
-
-    def planned_start(self, job_id: int) -> float:
-        """Planned start of ``job_id`` (``math.inf`` if absent/not placeable)."""
-        entry = self._entries.get(job_id)
-        return entry.planned_start if entry is not None else math.inf
-
-    def planned_end(self, job_id: int) -> float:
-        """Planned completion of ``job_id`` (``math.inf`` if absent/not placeable)."""
-        entry = self._entries.get(job_id)
-        return entry.planned_end if entry is not None else math.inf
-
-    def startable_now(self) -> list[PlannedJob]:
-        """Entries whose planned start equals the time the plan was computed."""
-        return [e for e in self._entries.values() if e.planned_start == self.computed_at]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ClusterPlan({self.cluster_name}, t={self.computed_at:.0f}, "
-            f"{len(self._entries)} jobs)"
-        )
 
 
 class IncrementalPlan:
@@ -155,18 +93,11 @@ class IncrementalPlan:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _entry_map(self) -> Dict[int, PlannedJob]:
-        if self._by_id is None:
-            self._by_id = {entry.job_id: entry for entry in self.entries}
-        return self._by_id
-
     def entry_of(self, job_id: int) -> Optional[PlannedJob]:
         """Entry of ``job_id`` (``None`` when it is not in the plan)."""
-        return self._entry_map().get(job_id)
-
-    def as_cluster_plan(self) -> ClusterPlan:
-        """Materialise the entries as a regular :class:`ClusterPlan`."""
-        return ClusterPlan(self.cluster_name, self.now, self._entry_map())
+        if self._by_id is None:
+            self._by_id = {entry.job_id: entry for entry in self.entries}
+        return self._by_id.get(job_id)
 
     def frontier(self) -> float:
         """FCFS queue-order frontier: latest finite planned start (or ``now``).

@@ -48,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 from repro.batch.cluster import ClusterState, RunningJob
 from repro.batch.job import Job, JobState
 from repro.batch.policies import BatchPolicy, IncrementalPlanner
-from repro.batch.schedule import ClusterPlan
+from repro.batch.schedule import PlannedJob
 from repro.platform.timeline import AvailabilityTimeline
 from repro.sim.events import Event, EventType
 from repro.sim.kernel import SimulationKernel
@@ -370,10 +370,10 @@ class BatchServer:
             raise BatchServerError(f"job {job.job_id} is not waiting on cluster {self.name}")
         return self._planner.planned_end(job.job_id)
 
-    def planned_schedule(self) -> ClusterPlan:
-        """Current plan of the waiting queue (one entry per waiting job)."""
+    def planned_schedule(self) -> List[PlannedJob]:
+        """Current plan of the waiting queue: one entry per waiting job, in queue order."""
         self._planner.advance(self.kernel.now)
-        return self._planner.cluster_plan()
+        return list(self._planner.plan.entries)
 
     def running_snapshot(self) -> List[RunningJob]:
         """Snapshot of the running jobs (start time and walltime-based end)."""

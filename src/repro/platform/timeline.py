@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 #: Interval kinds understood by the declarative constructors.  The kind is
 #: informational (it names *why* capacity changed); only the capacity value
@@ -230,15 +230,6 @@ class AvailabilityTimeline:
             intervals=tuple(
                 CapacityInterval.from_dict(raw) for raw in data.get("intervals", ())
             )
-        )
-
-    @classmethod
-    def from_intervals(
-        cls, intervals: Sequence[Tuple[float, float, int]], kind: str = "outage"
-    ) -> "AvailabilityTimeline":
-        """Build from raw ``(start, end, capacity)`` triples."""
-        return cls(
-            tuple(CapacityInterval(start, end, capacity, kind) for start, end, capacity in intervals)
         )
 
     def __bool__(self) -> bool:

@@ -365,10 +365,6 @@ class MetaSchedulerService:
             )
         return total
 
-    @property
-    def is_closing(self) -> bool:
-        return self._closing
-
     def ticket(self, job_id: int) -> Ticket:
         """Ticket of a known job (raises ``KeyError`` for unknown ids)."""
         return self._registry[job_id]

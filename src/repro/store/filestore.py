@@ -143,18 +143,6 @@ class StoreStats:
     #: stale locks this instance renamed away before re-racing the claim
     stale_takeovers: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "version_dropped": self.version_dropped,
-            "corrupt_dropped": self.corrupt_dropped,
-            "claims": self.claims,
-            "claim_conflicts": self.claim_conflicts,
-            "stale_takeovers": self.stale_takeovers,
-        }
-
 
 class ResultStore:
     """Persistent cache of experiment outcomes.

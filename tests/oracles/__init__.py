@@ -11,6 +11,9 @@ the perf benchmarks can hold the fast path to it:
 * :mod:`oracles.metrics` — the per-record comparison of two runs;
 * :mod:`oracles.queues` — the binary-heap event queue the calendar queue
   must match, and kernels running on it;
+* :mod:`oracles.planners` — the from-scratch FCFS/CBF planners over a
+  base profile rebuilt from the running set, the reference of the
+  incremental planner;
 * :mod:`oracles.profiles` — the list-only reference profile, and clusters,
   servers and simulations whose profiles are pinned to list or array
   storage;

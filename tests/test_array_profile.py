@@ -363,7 +363,7 @@ class TestRandomizedDifferential:
             plans = {
                 mode: {
                     (e.job_id, e.planned_start, e.planned_end, e.procs)
-                    for e in planner.cluster_plan()
+                    for e in planner.plan.entries
                 }
                 for mode, planner in planners.items()
             }

@@ -9,6 +9,8 @@ import pytest
 from repro.batch.cluster import ClusterState
 from tests.conftest import make_job
 
+from oracles.planners import build_profile
+
 
 class TestValidation:
     def test_valid_cluster(self):
@@ -99,10 +101,17 @@ class TestUsedProcsCounter:
             assert cluster.free_procs == cluster.capacity - cluster.used_procs >= 0
 
 
+def rebuilt(cluster, now):
+    """The from-scratch profile, checked against the cluster's live one."""
+    profile = build_profile(cluster, now)
+    assert list(cluster.availability(now).breakpoints()) == list(profile.breakpoints())
+    return profile
+
+
 class TestBuildProfile:
     def test_empty_cluster_profile(self):
         cluster = ClusterState("alpha", 8)
-        profile = cluster.build_profile(now=50.0)
+        profile = rebuilt(cluster, now=50.0)
         assert profile.free_at(50.0) == 8
         assert profile.start_time == 50.0
 
@@ -110,7 +119,7 @@ class TestBuildProfile:
         cluster = ClusterState("alpha", 8)
         cluster.start_job(make_job(1, procs=3, runtime=50.0, walltime=100.0), start_time=0.0)
         cluster.start_job(make_job(2, procs=2, runtime=30.0, walltime=60.0), start_time=20.0)
-        profile = cluster.build_profile(now=30.0)
+        profile = rebuilt(cluster, now=30.0)
         # job 1 holds 3 procs until t=100, job 2 holds 2 procs until t=80
         assert profile.free_at(30.0) == 3
         assert profile.free_at(85.0) == 5
@@ -119,5 +128,5 @@ class TestBuildProfile:
     def test_job_at_walltime_boundary_is_ignored(self):
         cluster = ClusterState("alpha", 8)
         cluster.start_job(make_job(1, procs=3, runtime=100.0, walltime=100.0), start_time=0.0)
-        profile = cluster.build_profile(now=100.0)
+        profile = rebuilt(cluster, now=100.0)
         assert profile.free_at(100.0) == 8

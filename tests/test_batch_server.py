@@ -299,8 +299,7 @@ class TestWaitingQueue:
         server.submit(blocker)
         server.submit(queued)
         plan = server.planned_schedule()
-        assert plan.planned_start(2) == 100.0
-        assert plan.planned_end(2) == 120.0
+        assert [(e.job_id, e.planned_start, e.planned_end) for e in plan] == [(2, 100.0, 120.0)]
 
     def test_running_snapshot(self, kernel):
         server = make_server(kernel, procs=4)

@@ -35,6 +35,8 @@ from repro.sim.kernel import SimulationKernel
 from repro.workload.scenarios import get_scenario
 from tests.conftest import make_job, make_server
 
+from oracles.planners import build_profile
+
 
 class TestClusterCapacity:
     def test_shrink_without_victims(self, kernel):
@@ -67,7 +69,7 @@ class TestClusterCapacity:
         assert cluster.capacity == 0
         assert not cluster.is_up
         live = cluster.availability(100.0)
-        rebuilt = cluster.build_profile(100.0)
+        rebuilt = build_profile(cluster, 100.0)
         assert list(live.breakpoints()) == list(rebuilt.breakpoints())
         assert live.free_at(100.0) == 0
         assert live.earliest_slot(1, 10.0, 100.0) == math.inf

@@ -7,8 +7,8 @@ current cluster state.  These tests drive randomized submit / cancel /
 start / completion sequences through a :class:`BatchServer` — under both
 policies and heterogeneous cluster speeds — and check, after every event:
 
-* the incremental plan entries match ``plan_fcfs`` / ``plan_cbf``
-  exactly;
+* the incremental plan entries match the reference ``plan_fcfs`` /
+  ``plan_cbf`` of ``oracles.planners`` exactly;
 * the live residual profile equals the reference residual as a step
   function;
 * the cluster's live availability profile equals the from-scratch
@@ -32,10 +32,11 @@ from hypothesis import strategies as st
 
 from repro.batch.cluster import ClusterState
 from repro.batch.job import Job, JobState
-from repro.batch.policies import BatchPolicy, IncrementalPlanner, plan_cbf, plan_fcfs
+from repro.batch.policies import BatchPolicy, IncrementalPlanner
 from repro.sim.kernel import SimulationKernel
 from tests.conftest import make_job, make_server
 
+from oracles.planners import PLANNERS, build_profile
 from oracles.profiles import use_server_mode
 
 # Random rigid jobs: submit time, procs, runtime, walltime factor.
@@ -73,9 +74,8 @@ def profile_points(profile, since):
 def reference_state(server):
     """Plan, residual and FCFS frontier recomputed from scratch."""
     now = server.kernel.now
-    profile = server.cluster.build_profile(now)
-    plan_fn = plan_fcfs if server.policy is BatchPolicy.FCFS else plan_cbf
-    plan = plan_fn(profile, server.waiting_jobs(), server.speed, now, server.name)
+    profile = build_profile(server.cluster, now)
+    plan = PLANNERS[server.policy](profile, server.waiting_jobs(), server.speed, now)
     last_start = now
     for entry in plan:
         if math.isfinite(entry.planned_start):
@@ -87,16 +87,8 @@ def assert_matches_reference(server, probe_jobs=()):
     """Full differential check of one server against the reference planner."""
     now = server.kernel.now
     ref_plan, ref_residual, ref_last_start = reference_state(server)
-    inc_plan = server.planned_schedule()
-
-    assert len(inc_plan) == len(ref_plan)
-    for job in server.waiting_jobs():
-        ref_entry = ref_plan.get(job.job_id)
-        inc_entry = inc_plan.get(job.job_id)
-        assert inc_entry is not None
-        assert inc_entry.planned_start == ref_entry.planned_start
-        assert inc_entry.planned_end == ref_entry.planned_end
-        assert inc_entry.procs == ref_entry.procs
+    # Same entries, same floats, same (queue) order.
+    assert server.planned_schedule() == list(ref_plan)
 
     planner = server._planner
     # The plan's floor is a lower bound on every planned start.
@@ -106,7 +98,7 @@ def assert_matches_reference(server, probe_jobs=()):
     assert profile_points(planner.residual, now) == profile_points(ref_residual, now)
     # The cluster's live profile matches the from-scratch construction.
     assert profile_points(server.cluster.availability(now), now) == profile_points(
-        server.cluster.build_profile(now), now
+        build_profile(server.cluster, now), now
     )
     # FCFS frontier equals the reference "last planned start".
     if server.policy is BatchPolicy.FCFS:
@@ -286,7 +278,7 @@ class TestSuffixBehaviour:
         plan.restore_suffix(0)
         assert plan.entries == []
         assert profile_points(plan.residual, kernel.now) == profile_points(
-            server.cluster.build_profile(kernel.now), kernel.now
+            build_profile(server.cluster, kernel.now), kernel.now
         )
 
     def test_estimates_do_not_mutate_incremental_state(self, kernel):
@@ -332,11 +324,10 @@ class TestStaleGuard:
         generation = planner.generation
         planner.advance(40.0)
         assert planner.generation == generation + 1  # the guard replanned
-        plan_fn = plan_fcfs if policy == "fcfs" else plan_cbf
-        reference = plan_fn(cluster.build_profile(40.0), planner.jobs, planner.speed, 40.0)
-        assert [
-            (entry.job_id, entry.planned_start, entry.planned_end) for entry in planner.plan.entries
-        ] == [(entry.job_id, entry.planned_start, entry.planned_end) for entry in reference]
+        reference = PLANNERS[planner.policy](
+            build_profile(cluster, 40.0), planner.jobs, planner.speed, 40.0
+        )
+        assert planner.plan.entries == list(reference)
         assert planner.plan.floor == 40.0
 
     def test_a_floor_left_behind_by_a_started_job_is_tightened(self):

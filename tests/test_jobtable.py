@@ -159,6 +159,18 @@ class TestRecordsRoundTrip:
         assert back.records == result.records == records
         assert back.makespan == result.makespan == 89.0
 
+    @pytest.mark.parametrize("column", ["site_code", "cluster_code", "state"])
+    @pytest.mark.parametrize("code", [-1, 99])
+    def test_from_columns_rejects_codes_outside_their_category_list(self, column, code):
+        table = JobTable.from_records([make_record(1), make_record(2, site="ctc")])
+        columns, sites, clusters = table.to_columns()
+        back = JobTable.from_columns(columns, sites, clusters)
+        assert list(back.records()) == list(table.records())
+        columns = {name: np.array(values) for name, values in columns.items()}
+        columns[column][0] = code
+        with pytest.raises(ValueError):
+            JobTable.from_columns(columns, sites, clusters)
+
     def test_job_materialisation(self):
         table = JobTable.from_jobs([make_job(3, submit_time=1.5, procs=4,
                                              runtime=10.0, origin_site="ctc")])

@@ -27,9 +27,10 @@ import pytest
 from repro.batch import profile as profile_module
 from repro.batch.cluster import ClusterState
 from repro.batch.job import Job
-from repro.batch.policies import BatchPolicy, IncrementalPlanner, plan_cbf
+from repro.batch.policies import BatchPolicy, IncrementalPlanner
 from repro.batch.profile import AvailabilityProfile, ProfileError
 
+from oracles.planners import plan_cbf
 from oracles.profiles import ListProfile, mode_of
 
 LONG_SCAN = profile_module._LONG_SCAN
@@ -291,9 +292,7 @@ def test_cbf_planner_switches_to_arrays_and_back():
         for entry in cluster.running_jobs():
             residual.subtract(0.0, entry.walltime_end, entry.procs)
         reference = plan_cbf(residual, planner.jobs, 1.0, 0.0)
-        assert [
-            (e.job_id, e.planned_start, e.planned_end) for e in planner.cluster_plan()
-        ] == [(e.job_id, e.planned_start, e.planned_end) for e in reference]
+        assert planner.plan.entries == list(reference)
         estimates = [
             residual.earliest_slot(job.procs, job.walltime, 0.0) + job.walltime
             for job in probes

@@ -7,11 +7,11 @@ requeueing running jobs) are driven through a :class:`BatchServer`, and
 after *every* event the live state must equal the from-scratch reference
 float for float:
 
-* the cluster's live availability profile equals
-  :meth:`ClusterState.build_profile` (which rebuilds from the running set
-  at the *current* capacity);
-* the incremental plan equals ``plan_fcfs`` /
-  ``plan_cbf`` over that rebuilt profile;
+* the cluster's live availability profile equals ``build_profile`` of
+  ``oracles.planners`` (which rebuilds from the running set at the
+  *current* capacity);
+* the incremental plan equals the reference ``plan_fcfs`` / ``plan_cbf``
+  over that rebuilt profile;
 * FCFS frontier and foreign-job estimates follow the reference formulas.
 
 Both policies are exercised, as required by the acceptance criteria.

@@ -7,10 +7,10 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.policies import plan_cbf, plan_fcfs
 from repro.batch.profile import AvailabilityProfile
 from tests.conftest import make_job
 
+from oracles.planners import plan_cbf, plan_fcfs
 from oracles.profiles import reserve
 
 # A reservation request: (procs, duration) with procs within a 16-core box.

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch.job import Job, JobState
-from repro.batch.policies import get_policy
 from repro.batch.server import BatchServer
 from repro.grid.simulation import GridSimulation
 from repro.platform.spec import ClusterSpec, PlatformSpec
 from repro.sim.kernel import SimulationKernel
+from oracles.planners import PLANNERS, build_profile
 from oracles.profiles import mode_of, use_server_mode
 from tests.conftest import make_server
 
@@ -159,8 +159,8 @@ class TestScalarEstimate:
         if kind == "oversized":
             expected = math.inf
         else:
-            reference = get_policy(policy)(
-                scalar_server.cluster.build_profile(now), queue, speed, now
+            reference = PLANNERS[scalar_server.policy](
+                build_profile(scalar_server.cluster, now), queue, speed, now
             )
             expected = reference.planned_end(scalar_probe.job_id)
         assert scalar == expected

@@ -294,18 +294,36 @@ class TestLegacyFixture:
         assert plain.read_bytes() == fixture[str(plain.relative_to(tmp_path / "plain"))]
 
 
-def _rewrite_header(path, mutate) -> None:
-    """Rewrite the header.json member of an npz document in place."""
+def _rewrite_member(path, member, transform) -> None:
+    """Rewrite one member of an npz document in place through ``transform``."""
     with zipfile.ZipFile(path) as archive:
         members = {name: archive.read(name) for name in archive.namelist()}
-    header = json.loads(members["header.json"])
-    mutate(header)
-    members["header.json"] = json.dumps(header, separators=(",", ":")).encode()
+    members[member] = transform(members[member])
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as archive:
         for name, data in members.items():
             archive.writestr(name, data)
     path.write_bytes(buffer.getvalue())
+
+
+def _rewrite_header(path, mutate) -> None:
+    """Rewrite the header.json member of an npz document in place."""
+
+    def transform(raw):
+        header = json.loads(raw)
+        mutate(header)
+        return json.dumps(header, separators=(",", ":")).encode()
+
+    _rewrite_member(path, "header.json", transform)
+
+
+def _negate_first_code(raw):
+    """An ``.npy`` column whose first code is -1 (valid dtype, bad value)."""
+    column = np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False).copy()
+    column[0] = -1
+    out = io.BytesIO()
+    np.lib.format.write_array(out, column, allow_pickle=False)
+    return out.getvalue()
 
 
 class TestNpzResilience:
@@ -346,6 +364,16 @@ class TestNpzResilience:
         _rewrite_header(path, poison)
         assert store.get_result(make_config()) is None
         assert store.stats.corrupt_dropped == 1
+
+    @pytest.mark.parametrize("column", ["site_code", "cluster_code", "state"])
+    def test_negative_category_code_counts_as_corrupt(self, store, column):
+        # A negative code would index from the end of the category list
+        # and load as a valid, wrong result.
+        path = store.put_result(make_config(), make_result())
+        _rewrite_member(path, f"{column}.npy", _negate_first_code)
+        assert store.get_result(make_config()) is None
+        assert store.stats.corrupt_dropped == 1
+        assert not path.exists()
 
     def test_missing_column_member_counts_as_corrupt(self, store):
         path = store.put_result(make_config(), make_result())
