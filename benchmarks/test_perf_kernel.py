@@ -11,6 +11,12 @@ in the drain — the acceptance floor asserts the calendar event loop is at
 least ``MIN_SPEEDUP``× faster at 10⁶ scheduled events, and the scheduling
 rate is reported alongside.
 
+One best-of sample judges the floor unless its ratio lands within
+``NOISE_BAND`` of the floor: there host noise alone has moved one sample
+across it (2.98× on unchanged queue code), so two more best-of samples
+are taken and the floor judges the median of the three.  Every sample's
+ratio is recorded.
+
 The cyclic garbage collector is disabled inside the timed sections
 (restored afterwards): with 10⁶ live events the collector repeatedly
 scans millions of reachable objects, and that scan time is proportional
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 import time
 import tracemalloc
 
@@ -54,6 +61,10 @@ MIN_SPEEDUP = 3.0
 SPEEDUP_FLOOR_SCALE = 1_000_000
 #: Timed repetitions per queue and scale (best-of, against noisy runners).
 REPETITIONS = 2
+#: A first ratio within this share of the floor is inside the noise ...
+NOISE_BAND = 0.05
+#: ... and the floor then judges the median of this many best-of samples.
+SAMPLES_NEAR_FLOOR = 3
 #: Event count of the (untimed) firing-order differential sanity check.
 DIFFERENTIAL_EVENTS = 20_000
 #: Instances allocated for the per-object memory measurements.
@@ -93,6 +104,26 @@ def run_fill_drain(queue_kind: str, times: list) -> tuple:
         kernel.run()
         drained = time.perf_counter()
     return filled - started, drained - filled, kernel.fired_events, kernel.now
+
+
+def best_of_fill_drain(times: list) -> dict:
+    """One best-of sample: ``{kind: (fill_s, drain_s)}`` over ``REPETITIONS`` runs."""
+    best = {"heap": [math.inf, math.inf], "calendar": [math.inf, math.inf]}
+    fired_now = {}
+    for _ in range(REPETITIONS):
+        for kind in ("heap", "calendar"):
+            fill_s, drain_s, fired, now = run_fill_drain(kind, times)
+            best[kind][0] = min(best[kind][0], fill_s)
+            best[kind][1] = min(best[kind][1], drain_s)
+            fired_now[kind] = (fired, now)
+    assert fired_now["heap"] == fired_now["calendar"]
+    assert fired_now["heap"][0] == len(times)
+    return best
+
+
+def near_floor(speedup: float) -> bool:
+    """Whether one sample's ratio is too close to the floor to judge alone."""
+    return abs(speedup - MIN_SPEEDUP) <= NOISE_BAND * MIN_SPEEDUP
 
 
 def firing_order_digest(queue_kind: str, times: list) -> list:
@@ -154,22 +185,15 @@ def test_kernel_queue_speedup():
     bench_scales = scales()
     for n in bench_scales:
         times = event_times(n)
-        best = {
-            "heap": [math.inf, math.inf],
-            "calendar": [math.inf, math.inf],
-        }
-        fired_now = {}
-        for _ in range(REPETITIONS):
-            for kind in ("heap", "calendar"):
-                fill_s, drain_s, fired, now = run_fill_drain(kind, times)
-                best[kind][0] = min(best[kind][0], fill_s)
-                best[kind][1] = min(best[kind][1], drain_s)
-                fired_now[kind] = (fired, now)
-        assert fired_now["heap"] == fired_now["calendar"]
-        assert fired_now["heap"][0] == n
+        best = best_of_fill_drain(times)
         heap_fill, heap_drain = best["heap"]
         cal_fill, cal_drain = best["calendar"]
-        speedup = wall_speedup(heap_drain, cal_drain)
+        samples = [wall_speedup(heap_drain, cal_drain)]
+        if n >= SPEEDUP_FLOOR_SCALE and near_floor(samples[0]):
+            for _ in range(SAMPLES_NEAR_FLOOR - 1):
+                more = best_of_fill_drain(times)
+                samples.append(wall_speedup(more["heap"][1], more["calendar"][1]))
+        speedup = statistics.median(samples)
         report["scales"][str(n)] = {
             "heap_fill_s": round(heap_fill, 4),
             "heap_drain_s": round(heap_drain, 4),
@@ -180,12 +204,14 @@ def test_kernel_queue_speedup():
             "heap_schedules_per_s": int(n / heap_fill),
             "calendar_schedules_per_s": int(n / cal_fill),
             "drain_speedup": round(speedup, 2),
+            "drain_speedup_samples": [round(sample, 2) for sample in samples],
         }
         print(
             f"\n{n} events: heap fill {heap_fill:.2f}s drain {heap_drain:.2f}s "
             f"({int(n / heap_drain)}/s), calendar fill {cal_fill:.2f}s "
             f"drain {cal_drain:.2f}s ({int(n / cal_drain)}/s), "
-            f"drain speedup {speedup:.2f}x"
+            f"drain speedup {speedup:.2f}x (samples "
+            f"{', '.join(f'{sample:.2f}' for sample in samples)})"
         )
 
     # Untimed differential sanity: identical firing order, tie-for-tie.
@@ -212,6 +238,12 @@ def test_kernel_queue_speedup():
         if int(scale_name) >= SPEEDUP_FLOOR_SCALE:
             assert numbers["drain_speedup"] >= MIN_SPEEDUP, (
                 f"{scale_name} events: calendar event-loop speedup "
-                f"{numbers['drain_speedup']}x below the {MIN_SPEEDUP}x "
+                f"{numbers['drain_speedup']}x (median of samples "
+                f"{numbers['drain_speedup_samples']}) below the {MIN_SPEEDUP}x "
                 f"acceptance floor"
             )
+
+
+def test_only_ratios_near_the_floor_take_more_samples():
+    assert near_floor(2.98) and near_floor(3.15) and near_floor(2.85)
+    assert not near_floor(2.5) and not near_floor(3.72)

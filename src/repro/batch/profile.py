@@ -38,8 +38,8 @@ breakpoints in one of two storages and moves between them on its own:
   is one edge pass over the blocked mask and one comparison per run of
   open segments, then the checked ``subtract``; an estimate batch builds
   one run table for all its processor counts and resolves every query in
-  one 2-D comparison; :meth:`~AvailabilityProfile.release_many` is
-  O(reservations + breakpoints).
+  one 2-D comparison; :meth:`~AvailabilityProfile.release_many` and
+  :meth:`~AvailabilityProfile.patch` are O(intervals + breakpoints).
 
 Every search with a positive duration reports how many segments it
 visited (the index where a segment walk over the profile would stop: the
@@ -213,6 +213,78 @@ class AvailabilityProfile:
         """
         for start, end, procs in reservations:
             self.add(start, end, procs)
+        self.compact()
+
+    def _net_changes(
+        self,
+        release: Iterable[Tuple[float, float, int]],
+        reserve: Iterable[Tuple[float, float, int]],
+    ) -> List[Tuple[float, float, int]]:
+        """``(start, end, signed procs)`` of a patch, clamped to the left edge.
+
+        Released intervals count positive, reserved ones negative; an
+        interval empty after the clamp is dropped.
+        """
+        left = self.start_time
+        changes = []
+        for sign, intervals in ((1, release), (-1, reserve)):
+            for start, end, procs in intervals:
+                start = max(start, left)
+                if end > start:
+                    changes.append((start, end, sign * procs))
+        return changes
+
+    @staticmethod
+    def _patch_error(start: float, end: float, level: int, total: int) -> ProfileError:
+        return ProfileError(
+            f"patch over [{start}, {end}) by {level:+d} leaves the free count "
+            f"outside [0, {total}]"
+        )
+
+    def patch(
+        self,
+        release: Iterable[Tuple[float, float, int]],
+        reserve: Iterable[Tuple[float, float, int]],
+    ) -> None:
+        """Give ``release`` back and take ``reserve`` as one net change.
+
+        Both are ``(start, end, procs)`` intervals, clamped to the left
+        edge.  The change is summed per *elementary interval* (between two
+        consecutive interval bounds) and applied once, so a reservation
+        may overlap a release it cancels: ``add`` of every release followed
+        by ``subtract`` of every reservation would overflow the capacity
+        there.  Only the net free count must stay within ``[0,
+        total_procs]``; otherwise :class:`ProfileError` names the first
+        elementary interval in time order that leaves it, and the profile
+        is unchanged.  Ends with one :meth:`compact`.
+        """
+        steps: dict = {}
+        for start, end, procs in self._net_changes(release, reserve):
+            steps[start] = steps.get(start, 0) + procs
+            if end != math.inf:
+                steps[end] = steps.get(end, 0) - procs
+        bounds = sorted(steps.items())
+        intervals = []
+        level = 0
+        for k, (start, step) in enumerate(bounds):
+            level += step
+            if level:
+                end = bounds[k + 1][0] if k + 1 < len(bounds) else math.inf
+                intervals.append((start, end, level))
+        times = self._times
+        free = self._free
+        total = self.total_procs
+        for start, end, level in intervals:
+            lo = bisect_right(times, start) - 1
+            segment = free[lo : bisect_left(times, end, lo + 1)]
+            value = max(segment) + level if level > 0 else min(segment) + level
+            if value < 0 or value > total:
+                raise self._patch_error(start, end, level, total)
+        for start, end, level in intervals:
+            i_start = self._ensure_breakpoint(start)
+            i_end = self._ensure_breakpoint(end) if end != math.inf else len(times)
+            for i in range(i_start, i_end):
+                free[i] += level
         self.compact()
 
     # ------------------------------------------------------------------ #
@@ -641,22 +713,61 @@ class _ArrayMode(AvailabilityProfile):
         if not batch:
             self.compact()
             return
-        n = self._size
-        old_times = self._times[:n]
-        old_free = self._free[:n]
-        starts = np.array([item[0] for item in batch], dtype=np.float64)
-        ends = np.array([item[1] for item in batch], dtype=np.float64)
-        procs = np.array([item[2] for item in batch], dtype=np.int64)
+        starts, ends, procs = (np.array(column) for column in zip(*batch))
         if int(procs.min()) <= 0 or bool((ends <= starts).any()):
             AvailabilityProfile.release_many(self, batch)
             return
+        times, free, _ = self._merged(starts, ends, procs)
+        if int(free.max()) > self.total_procs:
+            AvailabilityProfile.release_many(self, batch)
+            return
+        self._store(times, free)
+
+    def patch(
+        self,
+        release: Iterable[Tuple[float, float, int]],
+        reserve: Iterable[Tuple[float, float, int]],
+    ) -> None:
+        """Give ``release`` back and take ``reserve`` as one net change.
+
+        Same result and errors as list storage, in O(intervals +
+        breakpoints): the :meth:`release_many` merge with signed deltas,
+        checked against ``[0, total_procs]`` before anything is written.
+        """
+        changes = self._net_changes(release, reserve)
+        if not changes:
+            self.compact()
+            return
+        starts, ends, procs = (np.array(column) for column in zip(*changes))
+        times, free, level = self._merged(starts, ends, procs)
+        bad = np.flatnonzero((free < 0) | (free > self.total_procs))
+        if bad.size:
+            # Name the elementary interval holding the first bad breakpoint.
+            first = int(bad[0])
+            bounds = np.unique(np.concatenate([starts, ends[np.isfinite(ends)]]))
+            k = int(bounds.searchsorted(times[first], side="right")) - 1
+            end = float(bounds[k + 1]) if k + 1 < bounds.shape[0] else math.inf
+            raise self._patch_error(
+                float(bounds[k]), end, int(level[first]), self.total_procs
+            )
+        self._store(times, free)
+
+    def _merged(self, starts, ends, procs):
+        """``(times, free, level)`` after adding ``procs`` over ``[starts, ends)``.
+
+        Union the breakpoint times, sample the old step function once,
+        apply every interval delta with ``add.at`` and a cumulative sum;
+        ``level`` is the summed delta at each merged breakpoint.
+        """
+        n = self._size
+        old_times = self._times[:n]
         finite = np.isfinite(ends)
         times = np.unique(np.concatenate([old_times, starts, ends[finite]]))
         # Sample the old step function at every merged breakpoint; times
         # before the old left edge take the capacity value, as
         # _ensure_bounds' left extension does.
         sample = np.searchsorted(old_times, times, side="right") - 1
-        free = np.where(sample < 0, self.total_procs, old_free[np.maximum(sample, 0)])
+        free = np.where(sample < 0, self.total_procs, self._free[:n][np.maximum(sample, 0)])
         # Interval deltas: +procs at each start, -procs at each finite end
         # (an infinite reservation never ends), accumulated left to right.
         delta = np.zeros(times.shape[0] + 1, dtype=np.int64)
@@ -664,10 +775,11 @@ class _ArrayMode(AvailabilityProfile):
         np.subtract.at(
             delta, np.searchsorted(times, ends[finite], side="left"), procs[finite]
         )
-        free = free + np.cumsum(delta[:-1])
-        if int(free.max()) > self.total_procs:
-            AvailabilityProfile.release_many(self, batch)
-            return
+        level = np.cumsum(delta[:-1])
+        return times, free + level, level
+
+    def _store(self, times, free) -> None:
+        """Replace the breakpoints by ``times``/``free``, then compact."""
         m = times.shape[0]
         self._reserve(m)
         self._times[:m] = times

@@ -188,29 +188,26 @@ class IncrementalPlan:
     ) -> None:
         """Keep ``entries[index:]`` of an earlier plan behind the current entries.
 
-        The caller has re-placed positions ``0..index-1`` and proved that
-        the earlier plan's entries from ``index`` on are still exact.  The
-        residual is rebuilt from the earlier plan's ``residual`` rather
-        than by re-placing the tail: every ``(start, end, procs)`` of
-        ``release`` is added back (freed processors and the old
-        reservations of moved entries), every one of ``reserve`` (their new
-        reservations) subtracted, then the profile is compacted — O(moved
-        entries), not O(queue).  ``frontier`` and ``floor`` are the earlier
-        plan's frontier and floor, which the kept tail carries over.
-        ``entries`` itself becomes the plan's list, its head overwritten in
-        O(index).
+        The caller has re-placed every waiting job queued ahead of the
+        earlier plan's position ``index`` and proved that the earlier
+        plan's entries from ``index`` on are still exact.  The residual is
+        rebuilt from the earlier plan's ``residual``, advanced to ``now``,
+        rather than by re-placing the tail: ``release`` (freed processors
+        and the old reservations of moved or started entries) is given
+        back and ``reserve`` (their new reservations) taken as one net
+        :meth:`~AvailabilityProfile.patch` — O(moved entries), not
+        O(queue).  ``frontier`` and ``floor`` are the earlier plan's
+        frontier and floor, which the kept tail carries over.  ``entries``
+        itself becomes the plan's list, its head overwritten in O(index).
         """
         entries[:index] = self.entries
         self.entries = entries
-        for start, end, procs in release:
-            residual.add(start, end, procs)
-        for start, end, procs in reserve:
-            residual.subtract(start, end, procs)
-        residual.compact()
+        residual.advance(self.now)
+        residual.patch(release, reserve)
         self.residual = residual
         self.floor = min(self.floor, floor)
         self._by_id = None
-        self._frontier = frontier
+        self._frontier = max(frontier, self.now)
 
     def remove_started(self, index: int) -> None:
         """Drop the entry of a job that started exactly at its planned slot.
@@ -222,7 +219,10 @@ class IncrementalPlan:
         entry = self.entries.pop(index)
         if self._by_id is not None:
             del self._by_id[entry.job_id]
-        self._frontier = None
+        # The frontier is max(now, latest finite start): only an entry
+        # holding it after ``now`` can take it away.
+        if entry.planned_start == self._frontier != self.now:
+            self._frontier = None
 
     def reset(self, residual: AvailabilityProfile, now: float) -> None:
         """Restart from a fresh base profile (full replan)."""

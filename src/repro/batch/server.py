@@ -20,7 +20,8 @@ dirty suffix of the plan — a submission places one job at the tail, a
 cancellation replans from the cancelled position, a job starting at its
 planned slot and a completion at the walltime boundary cost nothing, and
 only an early completion (processors returned at an unpredicted time)
-replans the full queue.  Estimation queries are served straight from the
+replans: the whole queue under CBF, under FCFS the queue head at once and
+the rest of what the released window can reach at the next read.  Estimation queries are served straight from the
 live residual profile, so the grid layer's ECT storms never trigger a
 replan.  Because processors are only released by completion events,
 handling these events is enough: between two events no new start can
@@ -373,6 +374,7 @@ class BatchServer:
     def planned_schedule(self) -> List[PlannedJob]:
         """Current plan of the waiting queue: one entry per waiting job, in queue order."""
         self._planner.advance(self.kernel.now)
+        self._planner.settle()
         return list(self._planner.plan.entries)
 
     def running_snapshot(self) -> List[RunningJob]:

@@ -118,6 +118,39 @@ class ListProfile:
             self.add(start, end, procs)
         self.compact()
 
+    def patch(
+        self,
+        release: Iterable[Tuple[float, float, int]],
+        reserve: Iterable[Tuple[float, float, int]],
+    ) -> None:
+        """The net change, summed over every interval covering each elementary one."""
+        left = self._times[0]
+        changes = [
+            (max(start, left), end, sign * procs)
+            for sign, intervals in ((1, release), (-1, reserve))
+            for start, end, procs in intervals
+            if end > max(start, left)
+        ]
+        bounds = sorted({t for start, end, _ in changes for t in (start, end) if t != math.inf})
+        clone = self.copy()
+        for k, start in enumerate(bounds):
+            end = bounds[k + 1] if k + 1 < len(bounds) else math.inf
+            level = sum(p for s, e, p in changes if s <= start and end <= e)
+            if not level:
+                continue
+            i_start = clone._ensure_breakpoint(start)
+            i_end = clone._ensure_breakpoint(end) if math.isfinite(end) else len(clone._times)
+            for i in range(i_start, i_end):
+                clone._free[i] += level
+                if not 0 <= clone._free[i] <= self.total_procs:
+                    raise ProfileError(
+                        f"patch over [{start}, {end}) by {level:+d} leaves the free count "
+                        f"outside [0, {self.total_procs}]"
+                    )
+        clone.compact()
+        self._times = clone._times
+        self._free = clone._free
+
     def advance(self, now: float) -> None:
         times = self._times
         if now <= times[0]:

@@ -169,6 +169,67 @@ class TestArrayMechanics:
             assert breakpoints(profile) == breakpoints(reference)
 
     @pytest.mark.parametrize("mode", MODES)
+    def test_patch_nets_a_release_against_an_overlapping_reservation(self, mode):
+        # Releasing [15, 60) on top of the 8 already given back overflows
+        # the capacity of 10 unless the reservation over [10, 60) is
+        # netted against it first.
+        profile = make_profile(mode, 10)
+        profile.subtract(0.0, 100.0, 10)
+        release, reserve = [(0.0, 100.0, 8), (15.0, 60.0, 6)], [(10.0, 60.0, 6)]
+        profile.patch(release, reserve)
+        assert breakpoints(profile) == [(0.0, 8), (10.0, 2), (15.0, 8), (100.0, 10)]
+        sequential = make_profile(mode, 10)
+        sequential.subtract(0.0, 100.0, 10)
+        with pytest.raises(ProfileError, match="exceeds capacity"):
+            for start, end, procs in release:
+                sequential.add(start, end, procs)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_patch_matches_the_reference(self, mode):
+        # Random states and patches — overlapping intervals, intervals
+        # before the left edge, infinite ends: the same breakpoints as the
+        # reference, or the same error with both profiles unchanged.
+        rng = random.Random(11)
+        outcomes = {True: 0, False: 0}
+        for _ in range(300):
+            cap = rng.randint(2, 16)
+            profile, reference = make_profile(mode, cap), ListProfile(cap)
+            for _ in range(rng.randint(0, 6)):
+                procs = rng.randint(1, cap)
+                start = float(rng.randint(0, 20))
+                end = start + rng.randint(1, 10)
+                if reference.min_free_over(start, end) >= procs:
+                    profile.subtract(start, end, procs)
+                    reference.subtract(start, end, procs)
+            left = float(rng.randint(0, 5))
+            profile.advance(left)
+            reference.advance(left)
+
+            def intervals():
+                out = []
+                for _ in range(rng.randint(0, 4)):
+                    start = float(rng.randint(0, 25))
+                    end = math.inf if rng.random() < 0.1 else start + rng.randint(1, 10)
+                    out.append((start, end, rng.randint(1, max(1, cap // 2))))
+                return out
+
+            release, reserve = intervals(), intervals()
+            before = breakpoints(reference)
+            errors = []
+            for target in (profile, reference):
+                try:
+                    target.patch(release, reserve)
+                    errors.append(None)
+                except ProfileError as error:
+                    errors.append(str(error))
+            assert errors[0] == errors[1]
+            assert breakpoints(profile) == breakpoints(reference)
+            if errors[0] is not None:
+                assert breakpoints(reference) == before
+            outcomes[errors[0] is None] += 1
+        assert min(outcomes.values()) >= 50
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_earliest_slot_many_matches_scalar(self, mode):
         rng = random.Random(9)
         profile = make_profile(mode, 32)

@@ -80,8 +80,10 @@ def assert_matches_reference(planner: IncrementalPlanner, now: float) -> None:
 def walks(monkeypatch):
     """Check every completion against the oracle; record each walk.
 
-    One record per ``job_finished`` call: ``(now, early, queue length,
-    placements made, {job_id: (old start, new start)})``.
+    Each completion's walk is settled at once (no coalescing, which
+    ``test_release_walk_coalescing.py`` covers), so one record per
+    ``job_finished`` call: ``(now, early, queue length, placements made,
+    {job_id: (old start, new start)})``.
     """
     records = []
     placed = [0]
@@ -97,6 +99,7 @@ def walks(monkeypatch):
         before = {entry.job_id: entry.planned_start for entry in self.plan.entries}
         placed[0] = 0
         original_finished(self, now, procs, walltime_end)
+        self.settle()  # the walk may pause after the queue head
         assert_matches_reference(self, now)
         moves = {
             entry.job_id: (before[entry.job_id], entry.planned_start)
