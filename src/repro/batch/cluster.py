@@ -5,29 +5,27 @@ currently running on it.  It knows nothing about queues; the
 :class:`~repro.batch.server.BatchServer` combines it with a waiting queue
 and a planning policy.
 
-The cluster also owns the *live* availability profile of its running set:
-:meth:`ClusterState.start_job` reserves the job's walltime window in the
-profile, :meth:`ClusterState.finish_job` releases the unused tail of the
-window when a job completes early, and :meth:`ClusterState.availability`
-advances the profile to the current time — no per-event reconstruction.
-The from-scratch construction from the running set, which the
-differential suites hold it to, lives in ``tests/oracles/planners.py``.
+The cluster's availability is derived, not stored:
+:meth:`ClusterState.availability` builds the free-processor step function
+from ``now`` on straight from the running set, each job holding its
+processors to its walltime end — the base profile every FCFS and CBF
+reservation is planned on (Mu'alem & Feitelson, IEEE TPDS 12(6), 2001).
 
 Since the dynamic-platform refactor the cluster's capacity is a function
-of time: :meth:`ClusterState.apply_capacity` shrinks or grows the live
-profile when a resource event (outage, maintenance window, join/leave,
-degraded capacity) fires, killing just enough running jobs — most recently
-started first, a deterministic LIFO victim order — to fit the new
-capacity.  ``total_procs`` remains the *nominal* size (what a job must fit
-for admission); :attr:`ClusterState.capacity` is what is available right
-now.  On a static platform the two never diverge, so every historical
-code path behaves byte-identically.
+of time: :meth:`ClusterState.apply_capacity` shrinks or grows it when a
+resource event (outage, maintenance window, join/leave, degraded
+capacity) fires, killing just enough running jobs — most recently started
+first, a deterministic LIFO victim order — to fit the new capacity.
+``total_procs`` remains the *nominal* size (what a job must fit for
+admission); :attr:`ClusterState.capacity` is what is available right now.
+On a static platform the two never diverge, so every historical code path
+behaves byte-identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from repro.batch.job import Job
 from repro.batch.profile import AvailabilityProfile
@@ -79,15 +77,10 @@ class ClusterState:
         self._running: Dict[int, RunningJob] = {}
         #: processors held by the running set, kept by start_job/finish_job
         self._used = 0
-        # Live availability profile of the running set, updated in place by
-        # start_job/finish_job and advanced lazily by availability().  The
-        # profile picks its own storage from its searches, whatever the
-        # policy planning on it.
-        self._profile = AvailabilityProfile(self.total_procs, start_time=0.0)
 
     @property
     def profile_engine(self) -> str:
-        """Class of the live profile (the same for every policy)."""
+        """Class of the profiles :meth:`availability` builds (one for every policy)."""
         return AvailabilityProfile.__name__
 
     # ------------------------------------------------------------------ #
@@ -144,27 +137,15 @@ class ClusterState:
         )
         self._running[job.job_id] = entry
         self._used += job.procs
-        self._profile.subtract(start_time, entry.walltime_end, job.procs)
         return entry
 
-    def finish_job(self, job_id: int, now: Optional[float] = None) -> RunningJob:
-        """Remove a running job (normal completion or walltime kill).
-
-        ``now`` is the completion time; when the job finishes before its
-        walltime end the unused tail ``[now, walltime_end)`` of its
-        reservation is released from the live profile.  Without ``now``
-        the entire remaining reservation is released, so the profile stays
-        consistent with :attr:`free_procs` for callers that drive the
-        cluster directly.
-        """
+    def finish_job(self, job_id: int) -> RunningJob:
+        """Remove a running job (normal completion, walltime kill or outage kill)."""
         try:
             entry = self._running.pop(job_id)
         except KeyError as exc:
             raise ValueError(f"job {job_id} is not running on {self.name}") from exc
         self._used -= entry.procs
-        released_from = entry.start_time if now is None else now
-        if released_from < entry.walltime_end:
-            self._profile.release(released_from, entry.walltime_end, entry.procs)
         return entry
 
     def fits(self, job: Job) -> bool:
@@ -182,21 +163,16 @@ class ClusterState:
     # ------------------------------------------------------------------ #
     # Capacity changes (resource events)                                 #
     # ------------------------------------------------------------------ #
-    def apply_capacity(self, new_capacity: int, now: float) -> List[RunningJob]:
-        """Shrink or grow the available capacity to ``new_capacity`` at ``now``.
+    def apply_capacity(self, new_capacity: int) -> List[RunningJob]:
+        """Shrink or grow the available capacity to ``new_capacity``.
 
         When shrinking below the processors currently in use, running jobs
         are killed — most recently started first (ties broken by the
         higher job id), a deterministic LIFO order that preserves the most
-        sunk work — until the remaining running set fits.  Each victim's
-        reservation is released in full, then the live profile's capacity
-        moves to the new value over ``[now, inf)``.
+        sunk work — until the remaining running set fits.
 
         Returns the killed :class:`RunningJob` entries in kill order (the
         caller requeues the jobs and cancels their completion events).
-        The running set and the live profile stay mutually consistent, so
-        a profile rebuilt from the running set at the current capacity
-        equals the live one after any sequence of capacity changes.
         """
         if new_capacity < 0:
             raise ValueError(
@@ -213,27 +189,42 @@ class ClusterState:
                 self._running.values(),
                 key=lambda e: (e.start_time, e.job.job_id),
             )
-            self.finish_job(entry.job.job_id, now)
+            self.finish_job(entry.job.job_id)
             victims.append(entry)
-        self._profile.set_capacity(new_capacity, now)
         self.capacity = int(new_capacity)
         return victims
 
     # ------------------------------------------------------------------ #
     # Profiles                                                           #
     # ------------------------------------------------------------------ #
-    def availability(self, now: float):
-        """Live availability profile advanced to ``now`` (returned as a copy).
+    def availability(self, now: float) -> AvailabilityProfile:
+        """Free processors from ``now`` on, built from the running set.
 
-        The live profile is maintained incrementally by
-        :meth:`start_job`/:meth:`finish_job` (and by capacity changes);
-        this accessor only drops breakpoints that fell into the past.  As
-        a step function over ``[now, inf)`` the result is identical to a
-        profile rebuilt from the running set at the current capacity, each
-        job holding its processors to its walltime end.
+        The current capacity minus every running job whose walltime end
+        lies after ``now``, each holding its processors to that end — all
+        the scheduler knows before a job finishes.  A job at its walltime
+        boundary is treated as gone: its completion fires at this
+        timestamp before any planning query.  One sort and one pass give
+        the canonical step function (every breakpoint after ``now`` is a
+        walltime end, where the free count rises); the caller owns the
+        returned profile.
         """
-        self._profile.advance(now)
-        return self._profile.copy()
+        ends = sorted(
+            (entry.walltime_end, entry.procs)
+            for entry in self._running.values()
+            if entry.walltime_end > now
+        )
+        free = self.capacity - sum([procs for _, procs in ends])
+        times = [float(now)]
+        counts = [free]
+        for end, procs in ends:
+            free += procs
+            if end == times[-1]:
+                counts[-1] = free
+            else:
+                times.append(end)
+                counts.append(free)
+        return AvailabilityProfile._from_breakpoints(self.capacity, times, counts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -61,8 +61,8 @@ class IncrementalPlanner:
     :meth:`advance` extends that head whenever time reaches its last
     start.  Every other read or edit (:meth:`estimate`,
     :meth:`estimate_many`, :meth:`planned_end`, :meth:`frontier`,
-    :attr:`residual`, :meth:`submit`, :meth:`cancel`, :meth:`cancel_all`)
-    calls :meth:`settle` first; :meth:`replan_all` drops the paused walk.
+    :attr:`residual`, :meth:`submit`, :meth:`cancel`) calls :meth:`settle`
+    first; :meth:`replan_all` and :meth:`cancel_all` drop the paused walk.
     The server's scheduling pass reads only the head.  Under CBF the plan
     is always settled and a read pays one attribute test.
 
@@ -78,9 +78,10 @@ class IncrementalPlanner:
       where the reference planner would look);
     * ``cancel`` at queue position ``k`` — restore + re-place positions
       ``k..end`` only;
-    * ``cancel_all`` — one restore of the whole plan and no placement,
-      O(queue + breakpoints) for the queue that ``cancel(0)`` per job
-      would drain at O(queue²);
+    * ``cancel_all`` — no placement: the plan restarts from the cluster's
+      availability (one sort of the running set) for the queue that
+      ``cancel(0)`` per job would drain at O(queue²), and a paused walk is
+      dropped unsettled;
     * ``job_started`` — free: the started job ran at its planned slot, so
       its reservation simply moves from the plan to the running set;
     * ``job_finished`` at the walltime boundary — free: the availability
@@ -186,7 +187,7 @@ class IncrementalPlanner:
         """End of one job placed now at the tail of the queue, reserving nothing.
 
         The search starts at the FCFS frontier when the policy keeps queue
-        order, else at ``now``; the live residual is never mutated.  The
+        order, else at ``now``; the residual is never mutated.  The
         plan must be settled.
         """
         earliest = self.plan.frontier() if self.keep_queue_order else self.plan.now
@@ -289,18 +290,17 @@ class IncrementalPlanner:
 
         The end state equals ``cancel(0, now)`` repeated until the queue is
         empty: an empty plan whose residual is the base profile in its
-        canonical compacted form.  It is reached by a single
-        :meth:`~repro.batch.schedule.IncrementalPlan.restore_suffix` and one
-        ``generation`` bump instead of one suffix replan per job.
+        canonical form.  That is the cluster's availability at ``now``,
+        so the plan restarts from it with one ``generation`` bump instead
+        of one suffix replan per job; a paused release walk is dropped,
+        since nothing is left to place.
         """
-        self.advance(now)
-        if self._walk is not None:
-            self.settle()
+        self._walk = None
         self.generation += 1
         jobs = self.jobs
         self.jobs = []
         self.waiting_ids = set()
-        self.plan.restore_suffix(0)
+        self.plan.reset(self.cluster.availability(now), now)
         return jobs
 
     def job_started(self, job: Job, now: float) -> None:
@@ -309,7 +309,7 @@ class IncrementalPlanner:
         When the job starts exactly at its planned slot (the only way the
         server starts jobs) the residual is already correct.  Any other
         start would break the invariant, so it falls back to a full replan
-        against the cluster's live profile, which includes the new running
+        against the cluster's availability, which includes the new running
         reservation either way.  A paused release walk records the running
         reservation, which a restart of the walk patches in.
         """
@@ -335,7 +335,7 @@ class IncrementalPlanner:
         empty and nothing changes from ``now`` on.  An early completion
         released processors the plan did not know about, which can improve
         any waiting job's placement: CBF replans the whole queue from the
-        live base profile, FCFS re-places the queue head now and the rest
+        cluster's availability, FCFS re-places the queue head now and the rest
         of the part the released window can reach at the next read
         (:meth:`_replan_released`).
         """
@@ -465,7 +465,7 @@ class IncrementalPlanner:
         self.replan_all(now)
 
     def replan_all(self, now: float) -> None:
-        """Rebuild the plan from the cluster's live availability profile.
+        """Rebuild the plan from the cluster's availability at ``now``.
 
         A paused release walk is dropped: the rebuild is the full replan.
         """

@@ -7,17 +7,14 @@ profile: *find the earliest interval of length d during which at least p
 processors are free*, then subtract ``p`` processors over that interval.
 
 The profile is a sorted sequence of breakpoints ``(time, free)``; the last
-breakpoint extends to infinity.  Profiles support two usage styles:
-
-* *throw-away* profiles built per planning pass (the historical style,
-  now only used by the from-scratch reference planners of
-  ``tests/oracles/planners.py``);
-* *live* profiles owned by :class:`~repro.batch.cluster.ClusterState` and
-  the incremental planner, updated in place as jobs start and finish:
-  :meth:`AvailabilityProfile.advance` drops past breakpoints when
-  simulated time moves forward and :meth:`AvailabilityProfile.release`
-  gives processors back (clamped to the live left edge, coalescing
-  redundant breakpoints).
+breakpoint extends to infinity.  A cluster builds the base profile of its
+running set afresh for every planning query
+(:meth:`~repro.batch.cluster.ClusterState.availability`); the incremental
+planner keeps the *residual* left after its reservations across events,
+reserving (:meth:`AvailabilityProfile.subtract`), giving reservations
+back (:meth:`AvailabilityProfile.release_many`,
+:meth:`AvailabilityProfile.patch`) and dropping the past
+(:meth:`AvailabilityProfile.advance`) as simulated time moves forward.
 
 Storage adapts to the searches
 ------------------------------
@@ -114,6 +111,18 @@ class AvailabilityProfile:
         self._times: list[float] = [float(start_time)]
         self._free: list[int] = [int(total_procs)]
         self._score = 0
+
+    @classmethod
+    def _from_breakpoints(
+        cls, total_procs: int, times: List[float], free: List[int]
+    ) -> "AvailabilityProfile":
+        """A list-storage profile taking ``times``/``free`` (canonical, not copied)."""
+        profile = object.__new__(cls)
+        profile.total_procs = total_procs
+        profile._times = times
+        profile._free = free
+        profile._score = 0
+        return profile
 
     # ------------------------------------------------------------------ #
     # Introspection                                                      #
@@ -223,12 +232,15 @@ class AvailabilityProfile:
         """``(start, end, signed procs)`` of a patch, clamped to the left edge.
 
         Released intervals count positive, reserved ones negative; an
-        interval empty after the clamp is dropped.
+        interval empty after the clamp is dropped.  Every count must be
+        positive, as for :meth:`subtract`.
         """
         left = self.start_time
         changes = []
         for sign, intervals in ((1, release), (-1, reserve)):
             for start, end, procs in intervals:
+                if procs <= 0:
+                    raise ValueError(f"procs must be positive, got {procs}")
                 start = max(start, left)
                 if end > start:
                     changes.append((start, end, sign * procs))
@@ -256,7 +268,8 @@ class AvailabilityProfile:
         there.  Only the net free count must stay within ``[0,
         total_procs]``; otherwise :class:`ProfileError` names the first
         elementary interval in time order that leaves it, and the profile
-        is unchanged.  Ends with one :meth:`compact`.
+        is unchanged.  A non-positive count raises :class:`ValueError`
+        before anything is applied.  Ends with one :meth:`compact`.
         """
         steps: dict = {}
         for start, end, procs in self._net_changes(release, reserve):
@@ -288,7 +301,7 @@ class AvailabilityProfile:
         self.compact()
 
     # ------------------------------------------------------------------ #
-    # Live-profile maintenance                                           #
+    # Time and representation                                            #
     # ------------------------------------------------------------------ #
     def advance(self, now: float) -> None:
         """Move the left edge of the profile forward to ``now``.
@@ -297,8 +310,8 @@ class AvailabilityProfile:
         segment is clamped to start at ``now``, and a first segment made
         redundant by the clamp is merged (once).  The profile is unchanged
         as a function over ``[now, inf)``, so planning queries with
-        ``earliest >= now`` are unaffected — this is what lets a live
-        profile be reused across events instead of being rebuilt.
+        ``earliest >= now`` are unaffected — this is what lets a planner's
+        residual be reused across events instead of being rebuilt.
         """
         times = self._times
         if now <= times[0]:
@@ -312,63 +325,12 @@ class AvailabilityProfile:
             del times[1]
             del self._free[1]
 
-    def release(self, start: float, end: float, procs: int) -> None:
-        """Give ``procs`` processors back over ``[start, end)`` on a live profile.
-
-        Unlike :meth:`add`, the interval is clamped to the current left
-        edge (releasing a reservation whose start has already been
-        advanced past is fine) and becomes a no-op when the clamped
-        interval is empty.  Redundant breakpoints left by the release are
-        coalesced so a long-lived profile stays small.
-        """
-        if procs <= 0:
-            raise ValueError(f"procs must be positive, got {procs}")
-        start = max(start, self.start_time)
-        if end <= start:
-            return
-        self.add(start, end, procs)
-        self.compact()
-
-    def set_capacity(self, new_total: int, now: float) -> None:
-        """Change the cluster capacity to ``new_total`` from ``now`` on.
-
-        This is the live-profile half of a resource event (outage,
-        maintenance, recovery, join/leave): the free-processor count over
-        ``[now, inf)`` moves by the capacity delta and :attr:`total_procs`
-        — the cap used by overflow checks and by
-        :meth:`earliest_slot`'s infeasibility test — becomes the new
-        capacity.  Shrinking requires the delta to be free everywhere
-        from ``now`` on; the caller (:class:`~repro.batch.cluster
-        .ClusterState`) kills enough running jobs first.
-
-        Raises
-        ------
-        ProfileError
-            If shrinking below the processors currently reserved anywhere
-            in ``[now, inf)``.
-        """
-        if new_total < 0:
-            raise ValueError(f"new_total must be >= 0, got {new_total}")
-        self.advance(now)
-        delta = new_total - self.total_procs
-        if delta == 0:
-            return
-        start = max(now, self.start_time)
-        if delta > 0:
-            self.total_procs = int(new_total)
-            self.add(start, math.inf, delta)
-        else:
-            self.subtract(start, math.inf, -delta)
-            self.total_procs = int(new_total)
-        self.compact()
-
     def compact(self) -> None:
         """Drop redundant breakpoints (equal free count on both sides).
 
         The profile is unchanged as a step function; only its
-        representation shrinks.  Called by the live-profile mutators so
-        repeated reserve/release cycles do not grow the breakpoints
-        without bound.
+        representation shrinks.  Called by the bulk releases so repeated
+        reserve/release cycles do not grow the breakpoints without bound.
         """
         free = self._free
         if len(free) < 2:
@@ -788,7 +750,7 @@ class _ArrayMode(AvailabilityProfile):
         self.compact()
 
     # ------------------------------------------------------------------ #
-    # Live-profile maintenance                                           #
+    # Time and representation                                            #
     # ------------------------------------------------------------------ #
     def advance(self, now: float) -> None:
         """Move the left edge forward to ``now`` (one in-place shift)."""

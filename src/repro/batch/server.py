@@ -21,9 +21,9 @@ cancellation replans from the cancelled position, a job starting at its
 planned slot and a completion at the walltime boundary cost nothing, and
 only an early completion (processors returned at an unpredicted time)
 replans: the whole queue under CBF, under FCFS the queue head at once and
-the rest of what the released window can reach at the next read.  Estimation queries are served straight from the
-live residual profile, so the grid layer's ECT storms never trigger a
-replan.  Because processors are only released by completion events,
+the rest of what the released window can reach at the next read.
+Estimation queries are served straight from the planner's residual
+profile, so the grid layer's ECT storms never trigger a replan.  Because processors are only released by completion events,
 handling these events is enough: between two events no new start can
 become feasible.
 
@@ -338,7 +338,7 @@ class BatchServer:
         * Otherwise it is the completion the job would obtain if it were
           submitted right now (placed at the end of the waiting queue, with
           back-filling when the policy is CBF), computed as a pure query
-          against the live residual profile.
+          against the planner's residual profile.
         * ``math.inf`` when the job cannot fit on this cluster.
 
         One job is one scalar planner query
@@ -356,7 +356,7 @@ class BatchServer:
         This is the query the grid layer's estimate table issues when a
         reallocation touches this cluster and the ECT column of every
         remaining candidate must be refreshed: the estimates are pure
-        what-if placements against the live residual profile, so the batch
+        what-if placements against the planner's residual profile, so the batch
         never mutates scheduling state.
         """
         if not jobs:
@@ -391,7 +391,7 @@ class BatchServer:
         if initial != self.cluster.capacity:
             # Before any job exists: no victims, no replanning needed beyond
             # resetting the empty plan's base profile.
-            self.cluster.apply_capacity(initial, self.kernel.now)
+            self.cluster.apply_capacity(initial)
             self._planner.replan_all(self.kernel.now)
         for time, capacity in timeline.transitions(procs):
             if time <= self.kernel.now:
@@ -415,7 +415,7 @@ class BatchServer:
         """
         now = self.kernel.now
         self.capacity_changes += 1
-        victims = self.cluster.apply_capacity(new_capacity, now)
+        victims = self.cluster.apply_capacity(new_capacity)
         requeued: List[Job] = []
         for entry in victims:
             event = self._completion_events.pop(entry.job.job_id, None)
@@ -497,7 +497,7 @@ class BatchServer:
         """Completion (or walltime kill) of a running job."""
         now = self.kernel.now
         self._completion_events.pop(job.job_id, None)
-        entry = self.cluster.finish_job(job.job_id, now)
+        entry = self.cluster.finish_job(job.job_id)
         self._planner.job_finished(now, entry.procs, entry.walltime_end)
         job.state = JobState.COMPLETED
         job.completion_time = now

@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.batch.job import Job
-from repro.core.metrics import ComparisonMetrics, compare_tables
+from repro.core.metrics import ComparisonMetrics, compare_runs
+from repro.core.metrics import compare_tables  # noqa: F401 - perfbench's tests read it here
 from repro.core.results import RunResult
 from repro.experiments.config import (
     DEFAULT_BENCH_TARGET_JOBS,
@@ -364,11 +365,7 @@ def run_campaign(
             continue
         baseline = campaign.results[config.baseline()]
         realloc = campaign.results[config]
-        metrics = compare_tables(
-            baseline.to_table(),
-            realloc.to_table(),
-            reallocations=realloc.total_reallocations,
-        )
+        metrics = compare_runs(baseline, realloc)
         if store is not None:
             store.put_metrics(config, metrics)
         campaign.metrics[config] = metrics

@@ -25,7 +25,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.batch.job import Job
-from repro.core.metrics import ComparisonMetrics, compare_tables
+from repro.core.metrics import ComparisonMetrics, compare_runs
+from repro.core.metrics import compare_tables  # noqa: F401 - perfbench's tests read it here
 from repro.core.results import RunResult
 from repro.experiments.campaign import (
     execute_config,
@@ -136,11 +137,7 @@ class ExperimentRunner:
             realloc = self.run(config)
             # Compare columnar: on table-backed results (simulated or
             # npz-loaded) this never materialises a per-job object.
-            metrics = compare_tables(
-                baseline.to_table(),
-                realloc.to_table(),
-                reallocations=realloc.total_reallocations,
-            )
+            metrics = compare_runs(baseline, realloc)
             if self.store is not None:
                 self.store.put_metrics(config, metrics)
         self._metrics_cache[config] = metrics

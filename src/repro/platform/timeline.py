@@ -18,7 +18,7 @@ Timelines are pure data.  The simulation side lives in
 :class:`~repro.batch.server.BatchServer` (which schedules one
 ``RESOURCE_CHANGE`` kernel event per capacity transition) and
 :class:`~repro.batch.cluster.ClusterState` (which grows or shrinks its
-live availability profile, killing running jobs that no longer fit).
+capacity, killing running jobs that no longer fit).
 Stochastic timeline generation (seeded failure models, named outage
 scripts) lives in :mod:`repro.workload.failures`.
 """

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.service.client import ServiceClient
 from repro.service.http import HTTPServiceClient
-from repro.service.service import SubmitRejected
+from repro.service.service import SubmitRejected, _percentile
 from repro.workload.swf import iter_swf_file
 
 #: One job spec of the generator: (procs, runtime, walltime).
@@ -98,16 +98,11 @@ def latency_summary(samples: Sequence[float]) -> Dict[str, object]:
             histogram[f"<={edge:g}s"] = count
     if index < len(ordered):
         histogram[f">{LATENCY_BUCKETS[-1]:g}s"] = len(ordered) - index
-
-    def pct(fraction: float) -> float:
-        rank = max(0, min(len(ordered) - 1, math.ceil(fraction * len(ordered)) - 1))
-        return ordered[rank]
-
     return {
         "samples": len(ordered),
-        "p50": pct(0.50),
-        "p90": pct(0.90),
-        "p99": pct(0.99),
+        "p50": _percentile(ordered, 0.50),
+        "p90": _percentile(ordered, 0.90),
+        "p99": _percentile(ordered, 0.99),
         "max": ordered[-1],
         "mean": sum(ordered) / len(ordered),
         "histogram": histogram,

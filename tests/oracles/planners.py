@@ -6,8 +6,9 @@ dirty suffix of its plan per event.  The differential suites hold it,
 after every event, to what these planners compute from nothing:
 
 * :func:`build_profile` — the cluster's base availability rebuilt from
-  its running set at its current capacity (what
-  :meth:`~repro.batch.cluster.ClusterState.availability` keeps live);
+  its running set at its current capacity, one ``subtract`` per job (what
+  :meth:`~repro.batch.cluster.ClusterState.availability` builds in one
+  pass);
 * :func:`plan_fcfs` / :func:`plan_cbf` (:data:`PLANNERS`) — every job of
   the queue placed in order on that profile, into a :class:`Plan`.
 """

@@ -11,9 +11,11 @@ three things it does not offer:
 * :class:`ListMode` / :class:`ArrayMode` (:data:`MODES`) — the production
   profile pinned to list or array storage, so a differential world runs
   every operation through one storage whatever its searches look like;
-* helpers that put a *fresh* cluster, server or simulation onto a pinned
-  mode (the storages are float-identical, so the swap must never change
-  a result), plus :func:`mode_of` to read which storage a profile is in.
+* helpers that pin the profiles a cluster's ``availability`` builds,
+  and so every residual planned on them, to one mode — on a cluster, or
+  on a *fresh* server or simulation (the storages are float-identical,
+  so the pin must never change a result) — plus :func:`mode_of` to read
+  which storage a profile is in.
 """
 
 from __future__ import annotations
@@ -124,6 +126,11 @@ class ListProfile:
         reserve: Iterable[Tuple[float, float, int]],
     ) -> None:
         """The net change, summed over every interval covering each elementary one."""
+        release, reserve = list(release), list(reserve)
+        for intervals in (release, reserve):
+            for _, _, procs in intervals:
+                if procs <= 0:
+                    raise ValueError(f"procs must be positive, got {procs}")
         left = self._times[0]
         changes = [
             (max(start, left), end, sign * procs)
@@ -163,31 +170,6 @@ class ListProfile:
         if len(times) > 1 and self._free[1] == self._free[0]:
             del times[1]
             del self._free[1]
-
-    def release(self, start: float, end: float, procs: int) -> None:
-        if procs <= 0:
-            raise ValueError(f"procs must be positive, got {procs}")
-        start = max(start, self._times[0])
-        if end <= start:
-            return
-        self.add(start, end, procs)
-        self.compact()
-
-    def set_capacity(self, new_total: int, now: float) -> None:
-        if new_total < 0:
-            raise ValueError(f"new_total must be >= 0, got {new_total}")
-        self.advance(now)
-        delta = new_total - self.total_procs
-        if delta == 0:
-            return
-        start = max(now, self._times[0])
-        if delta > 0:
-            self.total_procs = int(new_total)
-            self.add(start, math.inf, delta)
-        else:
-            self.subtract(start, math.inf, -delta)
-            self.total_procs = int(new_total)
-        self.compact()
 
     def compact(self) -> None:
         times = self._times
@@ -305,29 +287,38 @@ def make_profile(mode: str, total_procs: int, start_time: float = 0.0):
     return PROFILES[mode](total_procs, start_time)
 
 
-def use_mode(cluster: ClusterState, mode: str, now: float = 0.0) -> ClusterState:
-    """Put ``cluster`` (with no running job) onto an empty ``mode`` profile.
+def pin(profile: AvailabilityProfile, mode: str):
+    """``profile`` (list storage, as a cluster builds it) moved to ``mode``."""
+    if mode == "list":
+        profile.__class__ = ListMode
+    elif mode == "array":
+        AvailabilityProfile._to_array(profile)
+        profile.__class__ = ArrayMode
+    elif mode == "reference":
+        reference = ListProfile(profile.total_procs)
+        reference._times = profile._times
+        reference._free = profile._free
+        return reference
+    return profile
 
-    The new profile is built the way :class:`ClusterState` builds its own,
-    and a capacity already changed at ``now`` (the initial capacity of a
-    dynamic platform) is applied to it as the cluster applied it.  Copies
-    of it — every residual a planner searches — stay pinned too.
+
+def use_mode(cluster: ClusterState, mode: str) -> ClusterState:
+    """Make every profile ``cluster.availability`` builds a ``mode`` profile.
+
+    The cluster's own method builds the profile; the pin only moves it to
+    ``mode``'s storage.  Copies of it — every residual a planner searches
+    — stay pinned too.
     """
-    if cluster.running_count:
-        raise ValueError("pin the profile storage before any job runs")
-    profile = make_profile(mode, cluster.total_procs)
-    if cluster.capacity != cluster.total_procs:
-        profile.set_capacity(cluster.capacity, now)
-    cluster._profile = profile
+    cluster.availability = lambda now: pin(ClusterState.availability(cluster, now), mode)
     return cluster
 
 
 def use_server_mode(server: BatchServer, mode: str) -> BatchServer:
-    """Pin a fresh ``server`` (nothing queued or running) onto ``mode``."""
+    """Pin a fresh ``server`` (nothing queued) onto ``mode``."""
     if server.queue_length:
         raise ValueError("pin the profile storage before any job is queued")
     now = server.kernel.now
-    use_mode(server.cluster, mode, now)
+    use_mode(server.cluster, mode)
     server._planner.plan.reset(server.cluster.availability(now), now)
     return server
 

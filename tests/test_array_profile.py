@@ -28,6 +28,7 @@ from repro.batch.job import Job
 from repro.batch.policies import BatchPolicy, IncrementalPlanner
 from repro.batch.profile import AvailabilityProfile, ProfileError
 from repro.batch.server import BatchServer
+from repro.sim.events import EventType
 from repro.sim.kernel import SimulationKernel
 
 from oracles import profiles
@@ -52,7 +53,7 @@ class TestOneProfileClass:
         server = BatchServer(SimulationKernel(), "c", 16, policy=policy)
         cluster = server.cluster
         assert cluster.profile_engine == AvailabilityProfile.__name__
-        assert type(cluster._profile) is AvailabilityProfile
+        assert not hasattr(cluster, "_profile")
         assert type(cluster.availability(0.0)) is AvailabilityProfile
         assert type(server._planner.residual) is AvailabilityProfile
 
@@ -69,6 +70,29 @@ class TestOneProfileClass:
         assert isinstance(copy, AvailabilityProfile)
         assert mode_of(copy) == mode
 
+
+    @pytest.mark.parametrize("policy", list(BatchPolicy))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pinned_server_replans_on_pinned_profiles(self, mode, policy):
+        # Every replan restarts from a fresh ``availability``: the pin
+        # must reach it, not just the first plan.
+        kernel = SimulationKernel()
+        server = server_on(mode, kernel, "c", 16, policy=policy)
+        for job_id in range(6):
+            server.submit(Job(job_id=job_id, submit_time=0.0, procs=6,
+                              runtime=5.0 * (job_id + 1), walltime=100.0))
+
+        def check():
+            residual = server._planner.residual
+            assert type(residual) is profiles.MODES[mode]
+            assert mode_of(residual) == mode
+
+        server.apply_capacity_change(12)  # a replan of the whole queue
+        check()
+        # After the first early completion's replan.
+        kernel.schedule_at(5.0, check, event_type=EventType.REALLOCATION)
+        kernel.run()
+        check()
 
 # ---------------------------------------------------------------------- #
 # Array mechanics                                                        #
@@ -99,7 +123,6 @@ class TestArrayMechanics:
         clone.subtract(2.0, 3.0, 6)
         clone.release_many([(1.0, 5.0, 2)])
         clone.advance(2.5)
-        clone.set_capacity(10, 2.5)
         assert breakpoints(profile) == before
         assert profile.total_procs == 8
 
@@ -229,6 +252,22 @@ class TestArrayMechanics:
             outcomes[errors[0] is None] += 1
         assert min(outcomes.values()) >= 50
 
+    @pytest.mark.parametrize("mode", [*MODES, "reference"])
+    @pytest.mark.parametrize("release, reserve, procs", [
+        ([(0.0, 10.0, -3)], [], -3),  # a negative release would reserve
+        ([], [(0.0, 10.0, 0)], 0),  # a zero reserve would do nothing
+        ([(0.0, 10.0, 2)], [(3.0, 4.0, -1)], -1),  # after a valid release
+        ([], [(-5.0, -1.0, 0)], 0),  # even where the clamp empties it
+    ])
+    def test_patch_rejects_nonpositive_procs(self, mode, release, reserve, procs):
+        profile = make_profile(mode, 8)
+        profile.subtract(0.0, 10.0, 2)
+        profile.advance(1.0)
+        before = breakpoints(profile)
+        with pytest.raises(ValueError, match=f"^procs must be positive, got {procs}$"):
+            profile.patch(release, reserve)
+        assert breakpoints(profile) == before
+
     @pytest.mark.parametrize("mode", MODES)
     def test_earliest_slot_many_matches_scalar(self, mode):
         rng = random.Random(9)
@@ -290,11 +329,11 @@ class TestArrayMechanics:
 @pytest.mark.parametrize("mode", MODES)
 class TestEngineEdgeCases:
     def test_zero_capacity_after_shrink(self, mode):
-        profile = make_profile(mode, 8)
-        profile.subtract(2.0, 4.0, 3)
-        profile.add(2.0, 4.0, 3)
-        profile.compact()
-        profile.set_capacity(0, 1.0)
+        cluster = cluster_on(mode, "c", 8)
+        cluster.start_job(Job(job_id=1, submit_time=0.0, procs=3, runtime=2.0, walltime=4.0), 0.0)
+        cluster.apply_capacity(0)
+        profile = cluster.availability(1.0)
+        assert mode_of(profile) == mode
         assert profile.total_procs == 0
         assert profile.free_at(1.0) == 0
         assert profile.free_at(100.0) == 0
@@ -362,26 +401,20 @@ class TestRandomizedDifferential:
             for _ in range(50):
                 op = rng.random()
                 if op < 0.45:
-                    procs = rng.randint(1, cap) if cap else 1
+                    procs = rng.randint(1, cap)
                     start = now + rng.random() * 50
                     end = start + rng.random() * 40 + 0.1
                     if rng.random() < 0.15:
                         end = math.inf
-                    if cap and oracle.min_free_over(start, end) >= procs:
+                    if oracle.min_free_over(start, end) >= procs:
                         oracle.subtract(start, end, procs)
                         array.subtract(start, end, procs)
                 elif op < 0.6:
                     now += rng.random() * 10
                     oracle.advance(now)
                     array.advance(now)
-                elif op < 0.7:
-                    new_cap = rng.randint(0, 48)
-                    if new_cap >= cap or oracle.min_free_over(now, math.inf) >= cap - new_cap:
-                        oracle.set_capacity(new_cap, now)
-                        array.set_capacity(new_cap, now)
-                        cap = new_cap
                 else:
-                    procs = rng.randint(1, max(cap, 1))
+                    procs = rng.randint(1, cap)
                     duration = rng.random() * 30
                     earliest = now + rng.random() * 20
                     assert oracle.earliest_slot(procs, duration, earliest) == \

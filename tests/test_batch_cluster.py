@@ -79,7 +79,8 @@ class TestUsedProcsCounter:
     @pytest.mark.parametrize("seed", range(8))
     def test_counter_matches_running_set_after_every_event(self, seed):
         """Starts, completions (early or not) and capacity changes keep
-        ``used_procs`` equal to the processors of the running set."""
+        ``used_procs`` equal to the processors of the running set, and
+        ``availability`` equal to the from-scratch ``build_profile``."""
         rng = random.Random(seed)
         cluster = ClusterState("alpha", 16)
         now, next_id = 0.0, 0
@@ -94,15 +95,16 @@ class TestUsedProcsCounter:
                 if job.procs <= cluster.free_procs:
                     cluster.start_job(job, start_time=now)
             elif action < 0.85 and running:
-                cluster.finish_job(rng.choice(running), now if rng.random() < 0.7 else None)
+                cluster.finish_job(rng.choice(running))
             else:
-                cluster.apply_capacity(rng.randint(0, 16), now)
+                cluster.apply_capacity(rng.randint(0, 16))
             assert cluster.used_procs == sum(e.procs for e in cluster.running_jobs())
             assert cluster.free_procs == cluster.capacity - cluster.used_procs >= 0
+            rebuilt(cluster, now)
 
 
 def rebuilt(cluster, now):
-    """The from-scratch profile, checked against the cluster's live one."""
+    """The from-scratch profile, checked against the cluster's own."""
     profile = build_profile(cluster, now)
     assert list(cluster.availability(now).breakpoints()) == list(profile.breakpoints())
     return profile
@@ -130,3 +132,11 @@ class TestBuildProfile:
         cluster.start_job(make_job(1, procs=3, runtime=100.0, walltime=100.0), start_time=0.0)
         profile = rebuilt(cluster, now=100.0)
         assert profile.free_at(100.0) == 8
+
+    def test_equal_walltime_ends_share_one_breakpoint(self):
+        cluster = ClusterState("alpha", 8)
+        cluster.start_job(make_job(1, procs=2, runtime=10.0, walltime=40.0), start_time=0.0)
+        cluster.start_job(make_job(2, procs=3, runtime=10.0, walltime=30.0), start_time=10.0)
+        cluster.start_job(make_job(3, procs=1, runtime=10.0, walltime=20.0), start_time=0.0)
+        profile = rebuilt(cluster, now=20.0)  # job 3 is at its boundary
+        assert list(profile.breakpoints()) == [(20.0, 3), (40.0, 8)]

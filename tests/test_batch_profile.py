@@ -212,33 +212,6 @@ class TestLiveProfile:
         profile.advance(10.0)
         assert list(profile.breakpoints()) == [(10.0, 8)]
 
-    def test_release_restores_a_reservation_tail(self):
-        profile = AvailabilityProfile(8)
-        profile.subtract(0.0, 100.0, 5)
-        profile.advance(30.0)
-        # Job finished early at t=30: release the rest of its window.
-        profile.release(30.0, 100.0, 5)
-        assert list(profile.breakpoints()) == [(30.0, 8)]
-
-    def test_release_clamps_to_the_left_edge(self):
-        profile = AvailabilityProfile(8)
-        profile.subtract(0.0, 100.0, 5)
-        profile.advance(50.0)
-        # The reservation started before the current left edge.
-        profile.release(0.0, 100.0, 5)
-        assert profile.free_at(50.0) == 8
-        assert profile.free_at(99.0) == 8
-
-    def test_release_of_past_interval_is_noop(self):
-        profile = AvailabilityProfile(8, start_time=100.0)
-        profile.release(0.0, 50.0, 4)
-        assert list(profile.breakpoints()) == [(100.0, 8)]
-
-    def test_release_rejects_non_positive_procs(self):
-        profile = AvailabilityProfile(8)
-        with pytest.raises(ValueError):
-            profile.release(0.0, 10.0, 0)
-
     def test_compact_removes_redundant_breakpoints(self):
         profile = AvailabilityProfile(8)
         profile.subtract(10.0, 20.0, 3)

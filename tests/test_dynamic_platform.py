@@ -42,7 +42,7 @@ class TestClusterCapacity:
     def test_shrink_without_victims(self, kernel):
         server = make_server(kernel, procs=8)
         cluster = server.cluster
-        victims = cluster.apply_capacity(4, 0.0)
+        victims = cluster.apply_capacity(4)
         assert victims == []
         assert cluster.capacity == 4
         assert cluster.total_procs == 8
@@ -55,7 +55,7 @@ class TestClusterCapacity:
         second = make_job(2, procs=3, runtime=500.0)
         cluster.start_job(first, 0.0)
         cluster.start_job(second, 10.0)
-        victims = cluster.apply_capacity(4, 50.0)
+        victims = cluster.apply_capacity(4)
         assert [entry.job.job_id for entry in victims] == [2]
         assert cluster.is_running(1) and not cluster.is_running(2)
         assert cluster.used_procs == 3
@@ -64,7 +64,7 @@ class TestClusterCapacity:
         cluster = make_server(kernel, procs=8).cluster
         cluster.start_job(make_job(1, procs=3, runtime=500.0), 0.0)
         cluster.start_job(make_job(2, procs=5, runtime=500.0), 0.0)
-        victims = cluster.apply_capacity(0, 100.0)
+        victims = cluster.apply_capacity(0)
         assert [entry.job.job_id for entry in victims] == [2, 1]  # LIFO by job id tie
         assert cluster.capacity == 0
         assert not cluster.is_up
@@ -76,8 +76,8 @@ class TestClusterCapacity:
 
     def test_recovery_restores_capacity(self, kernel):
         cluster = make_server(kernel, procs=8).cluster
-        cluster.apply_capacity(0, 10.0)
-        cluster.apply_capacity(8, 20.0)
+        cluster.apply_capacity(0)
+        cluster.apply_capacity(8)
         assert cluster.capacity == 8
         assert cluster.availability(20.0).free_at(20.0) == 8
         assert cluster.fits_now(make_job(1, procs=8))
@@ -85,15 +85,15 @@ class TestClusterCapacity:
     def test_capacity_bounds_are_enforced(self, kernel):
         cluster = make_server(kernel, procs=8).cluster
         with pytest.raises(ValueError):
-            cluster.apply_capacity(-1, 0.0)
+            cluster.apply_capacity(-1)
         with pytest.raises(ValueError):
-            cluster.apply_capacity(9, 0.0)
+            cluster.apply_capacity(9)
 
     def test_fits_vs_fits_now(self, kernel):
         cluster = make_server(kernel, procs=8).cluster
         job = make_job(1, procs=6)
         assert cluster.fits(job) and cluster.fits_now(job)
-        cluster.apply_capacity(4, 0.0)
+        cluster.apply_capacity(4)
         assert cluster.fits(job) and not cluster.fits_now(job)
 
 

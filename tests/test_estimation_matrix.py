@@ -344,7 +344,7 @@ class TestTableStalePrune:
         # The job stops fitting on alpha (a capacity change degrades the
         # cluster below the request); the refresh must stale-prune alpha's
         # entry instead of keeping the outdated ECT.
-        alpha.cluster.apply_capacity(2, kernel.now)
+        alpha.cluster.apply_capacity(2)
         table.refresh_clusters({"alpha"})
         estimate = estimate_of(table, 1)
         assert set(estimate.ects) == {"beta"}

@@ -11,7 +11,7 @@ policies and heterogeneous cluster speeds — and check, after every event:
   ``plan_cbf`` of ``oracles.planners`` exactly;
 * the live residual profile equals the reference residual as a step
   function;
-* the cluster's live availability profile equals the from-scratch
+* the cluster's availability profile equals the from-scratch
   ``build_profile`` construction;
 * foreign-job completion estimates match the reference formula;
 * the plan's ``floor`` is at most its earliest planned start.
@@ -96,7 +96,7 @@ def assert_matches_reference(server, probe_jobs=()):
     assert planner.plan.floor <= min(starts, default=math.inf)
     # The live residual is the same step function as the reference residual.
     assert profile_points(planner.residual, now) == profile_points(ref_residual, now)
-    # The cluster's live profile matches the from-scratch construction.
+    # The cluster's availability matches the from-scratch construction.
     assert profile_points(server.cluster.availability(now), now) == profile_points(
         build_profile(server.cluster, now), now
     )

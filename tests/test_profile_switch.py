@@ -71,25 +71,31 @@ def random_interval(rng, now):
 def random_op(rng, profile, oracle, now):
     """Apply one random operation to both profiles; returns the new ``now``."""
     cap = oracle.total_procs
-    op = rng.randrange(12)
+    op = rng.randrange(11)
     if op <= 2:
         start, end = random_interval(rng, now)
-        procs = rng.randint(0 if rng.random() < 0.03 else 1, max(cap, 1))
+        procs = rng.randint(0 if rng.random() < 0.03 else 1, cap)
         calls = [lambda p: p.subtract(start, end, procs)]
     elif op == 3:
         start, end = random_interval(rng, now)
-        procs = rng.randint(1, max(cap, 1))
+        procs = rng.randint(1, cap)
         calls = [lambda p: p.add(start, end, procs)]
     elif op == 4:
-        start, end = random_interval(rng, now)
-        procs = rng.randint(1, max(cap, 1))
-        calls = [lambda p: p.release(start, end, procs)]
+        # One net change, valid or not (a count of 0 is refused).
+        release, reserve = (
+            [
+                (*random_interval(rng, now), rng.randint(0 if rng.random() < 0.05 else 1, cap))
+                for _ in range(rng.randint(0, 3))
+            ]
+            for _ in range(2)
+        )
+        calls = [lambda p: p.patch(release, reserve)]
     elif op == 5:
         # Give back reservations the profile holds (sometimes one too many).
         batch = []
         for _ in range(rng.randint(0, 6)):
             start, end = random_interval(rng, now)
-            procs = rng.randint(1, max(cap, 1))
+            procs = rng.randint(1, cap)
             if end > start and oracle.min_free_over(start, end) >= procs:
                 oracle.subtract(start, end, procs)
                 profile.subtract(start, end, procs)
@@ -101,18 +107,15 @@ def random_op(rng, profile, oracle, now):
         now += rng.choice([0.0, rng.random() * 10, rng.randint(1, 10) * 1.5])
         calls = [lambda p: p.advance(now)]
     elif op == 7:
-        new_cap = rng.randint(0, 48)
-        calls = [lambda p: p.set_capacity(new_cap, now)]
-    elif op == 8:
         calls = [lambda p: p.compact()]
-    elif op == 9:
-        procs = rng.randint(0 if rng.random() < 0.03 else 1, max(cap, 1) + 1)
+    elif op == 8:
+        procs = rng.randint(0 if rng.random() < 0.03 else 1, cap + 1)
         duration = rng.choice([0.0, rng.random() * 30, rng.randint(1, 10) * 1.5])
         earliest = now + rng.random() * 20
         calls = [lambda p: p.earliest_slot(procs, duration, earliest)]
-    elif op == 10:
+    elif op == 9:
         size = rng.randint(0, 12)
-        procs = [rng.randint(1, max(cap, 1) + 1) for _ in range(size)]
+        procs = [rng.randint(1, cap + 1) for _ in range(size)]
         durations = [rng.choice([0.0, rng.random() * 30]) for _ in range(size)]
         earliest = now + rng.random() * 20
         calls = [lambda p: p.earliest_slot_many(procs, durations, earliest)]

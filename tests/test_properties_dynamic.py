@@ -7,7 +7,7 @@ requeueing running jobs) are driven through a :class:`BatchServer`, and
 after *every* event the live state must equal the from-scratch reference
 float for float:
 
-* the cluster's live availability profile equals ``build_profile`` of
+* the cluster's availability profile equals ``build_profile`` of
   ``oracles.planners`` (which rebuilds from the running set at the
   *current* capacity);
 * the incremental plan equals the reference ``plan_fcfs`` / ``plan_cbf``

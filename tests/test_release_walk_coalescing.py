@@ -19,7 +19,8 @@ reference of ``oracles.planners``:
   before the next read (its freed window overlaps its own reservation,
   so only a net patch keeps the residual within capacity), a boundary
   completion at the paused head's last start (every job planned then must
-  start), submissions and cancellations during a pause, and the
+  start), submissions and cancellations during a pause, a
+  ``cancel_all`` during a pause that places nothing, and the
   placement count of a seeded FCFS cell, where bursts of completions walk
   their tail once.
 """
@@ -353,6 +354,49 @@ def test_submit_and_cancel_during_a_pause_settle_first(completions, engine, acti
     kernel.run()
     assert seen == [(True, 1)]  # paused behind A, the only head entry
     assert completions[0] == (10.0, True, False, True)
+    check_settled(server)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("action", ["settle", "cancel_waiting"])
+def test_cancel_all_during_a_pause_drops_the_walk_unsettled(completions, engine, action):
+    # The world of the test above, paused behind A at 20.  Settling would
+    # re-place B and C; emptying the queue places nothing: no job behind
+    # the head fits beside R2, so the server goes straight to cancel_all.
+    kernel = SimulationKernel()
+    server = server_on(engine, kernel, "c", 10, 1.0, policy="fcfs")
+    jobs = [
+        Job(job_id=0, submit_time=0.0, procs=4, runtime=10.0, walltime=100.0),
+        Job(job_id=1, submit_time=0.0, procs=6, runtime=50.0, walltime=50.0),
+        Job(job_id=2, submit_time=0.0, procs=5, runtime=30.0, walltime=30.0),
+        Job(job_id=3, submit_time=0.0, procs=5, runtime=30.0, walltime=30.0),
+        Job(job_id=4, submit_time=0.0, procs=10, runtime=20.0, walltime=20.0),
+    ]
+    for job in jobs:
+        server.submit(job)
+    placed, cancelled = [], []
+    original = IncrementalPlan.place
+
+    def place(self, job_id, *args):
+        placed.append(job_id)
+        return original(self, job_id, *args)
+
+    def act():
+        assert (server._planner._walk is not None, len(server._planner.plan.entries)) == (True, 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(IncrementalPlan, "place", place)
+            if action == "settle":
+                server._planner.settle()
+            else:
+                cancelled.extend(job.job_id for job in server.cancel_waiting())
+        check_settled(server, settled_already=True)
+
+    kernel.schedule_at(20.0, act, event_type=EventType.REALLOCATION)
+    kernel.run()
+    if action == "settle":
+        assert placed == [3, 4]
+    else:
+        assert placed == [] and cancelled == [2, 3, 4]
     check_settled(server)
 
 
